@@ -48,8 +48,7 @@ _SINGULAR = (SingularBlock, SingularFeedthrough, SingularGenerator,
 
 
 def _tolerance_policy() -> dict:
-    from .core import RCOND_FLOOR, RANK_RTOL
-    from .transforms import COND_LIMIT
+    from .core import COND_LIMIT, RCOND_FLOOR, RANK_RTOL
     from .passivity import CONSERVATIVE_RTOL
     return {"rcond_floor": RCOND_FLOOR, "rank_rtol": RANK_RTOL,
             "block_condition_limit": COND_LIMIT,

@@ -23,6 +23,10 @@ from .errors import DimensionMismatch, NearSpectrum
 #: is rejected as "on top of the spectrum".
 RCOND_FLOOR = 1e-12
 
+#: Condition limit for one-off block inversions (transforms, Cayley steps,
+#: feedback loop); sites with their own limit pass it to ``_gate``.
+COND_LIMIT = 1e12
+
 #: Singular values below this fraction of the largest count as zero in
 #: rank decisions (Kalman matrices are badly graded; a relative cut is the
 #: standard compromise).
@@ -40,6 +44,34 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def _freeze_quadruple(sys, names: tuple[str, str, str, str]) -> None:
+    """Check a frozen system's quadruple (field ``names``) and split, then
+    store read-only copies.  The default split halves an even m, else (m, 0).
+    """
+    a, b, c, d = names
+    A = _as_matrix(a, getattr(sys, a))
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise DimensionMismatch(f"{a} must be square, got {A.shape}")
+    D = _as_matrix(d, getattr(sys, d))
+    m = D.shape[0]
+    if D.shape != (m, m) or m < 1:
+        raise DimensionMismatch(f"{d} must be square with m >= 1, got {D.shape}")
+    B = _as_matrix(b, getattr(sys, b), (n, m))
+    C = _as_matrix(c, getattr(sys, c), (m, n))
+    split = sys.split
+    if split is None:
+        split = (m // 2, m - m // 2) if m % 2 == 0 else (m, 0)
+    m1, m2 = int(split[0]), int(split[1])
+    if m1 < 0 or m2 < 0 or m1 + m2 != m:
+        raise DimensionMismatch(f"split {split} incompatible with m={m}")
+    for name, arr in zip(names, (A, B, C, D)):
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(sys, name, arr)
+    object.__setattr__(sys, "split", (m1, m2))
+
+
 @dataclass(frozen=True)
 class StateSpaceSystem:
     """Continuous-time system x' = A x + B u, y = C x + D u with a port split.
@@ -55,27 +87,7 @@ class StateSpaceSystem:
     split: tuple[int, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        A = _as_matrix("A", self.A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {A.shape}")
-        D = _as_matrix("D", self.D)
-        m = D.shape[0]
-        if D.shape != (m, m) or m < 1:
-            raise DimensionMismatch(f"D must be square with m >= 1, got {D.shape}")
-        B = _as_matrix("B", self.B, (n, m))
-        C = _as_matrix("C", self.C, (m, n))
-        split = self.split
-        if split is None:
-            split = (m // 2, m - m // 2) if m % 2 == 0 else (m, 0)
-        m1, m2 = int(split[0]), int(split[1])
-        if m1 < 0 or m2 < 0 or m1 + m2 != m:
-            raise DimensionMismatch(f"split {split} incompatible with m={m}")
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "split", (m1, m2))
+        _freeze_quadruple(self, ("A", "B", "C", "D"))
 
     @property
     def n(self) -> int:
@@ -118,23 +130,7 @@ class DiscreteSystem:
         if not (float(self.sigma) > 0.0):
             raise DimensionMismatch(f"sigma must be positive, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
-        Ad = _as_matrix("Ad", self.Ad)
-        n = Ad.shape[0]
-        Dd = _as_matrix("Dd", self.Dd)
-        m = Dd.shape[0]
-        Bd = _as_matrix("Bd", self.Bd, (n, m))
-        Cd = _as_matrix("Cd", self.Cd, (m, n))
-        split = self.split
-        if split is None:
-            split = (m // 2, m - m // 2) if m % 2 == 0 else (m, 0)
-        m1, m2 = int(split[0]), int(split[1])
-        if m1 < 0 or m2 < 0 or m1 + m2 != m:
-            raise DimensionMismatch(f"split {split} incompatible with m={m}")
-        for name, arr in (("Ad", Ad), ("Bd", Bd), ("Cd", Cd), ("Dd", Dd)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "split", (m1, m2))
+        _freeze_quadruple(self, ("Ad", "Bd", "Cd", "Dd"))
 
     @property
     def n(self) -> int:
@@ -160,6 +156,25 @@ class PortSignalFrame:
                                  ("y1", self.y1, m1), ("y2", self.y2, m2)):
             if np.asarray(vec).reshape(-1).shape != (width,):
                 raise DimensionMismatch(f"{name} must have width {width}")
+
+
+def _condition(M: np.ndarray, scale: float | None = None) -> float:
+    """scale / sigma_min(M) from one SVD; ``scale`` defaults to sigma_max
+    (the 2-norm condition number).  inf for singular M, 1.0 for empty M."""
+    if M.size == 0:
+        return 1.0
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] == 0.0:
+        return np.inf
+    return float((sv[0] if scale is None else scale) / sv[-1])
+
+
+def _gate(M: np.ndarray, exc_type, message: str, limit: float = COND_LIMIT) -> None:
+    """Raise exc_type(message) when cond_2(M) exceeds ``limit``; the message
+    may reference the measured condition as ``{cond}``."""
+    cond = _condition(M)
+    if cond > limit:
+        raise exc_type(message.format(cond=cond))
 
 
 def _gated_solve(M: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
@@ -218,21 +233,14 @@ def _gated_solve(M: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
     return apply_inverse(rhs)
 
 
-def _resolvent_solve(A: np.ndarray, s: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (sI - A) X = rhs; raise NearSpectrum when s sits on the spectrum."""
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, rhs.shape[1]), dtype=complex)
-    M = s * np.eye(n) - A
-    return _gated_solve(M, rhs.astype(complex),
-                        f"s={s} is numerically on the spectrum of A")
-
-
 def transfer_function(sys: StateSpaceSystem, s: complex) -> np.ndarray:
-    """Evaluate G(s) = D + C (sI - A)^-1 B by direct solve."""
+    """Evaluate G(s) = D + C (sI - A)^-1 B by direct solve; raise
+    NearSpectrum when s sits on the spectrum of A."""
     if sys.n == 0:
         return sys.D.astype(complex)
-    X = _resolvent_solve(sys.A, complex(s), sys.B.astype(complex))
+    s = complex(s)
+    X = _gated_solve(s * np.eye(sys.n) - sys.A, sys.B.astype(complex),
+                     f"s={s} is numerically on the spectrum of A")
     return sys.D + sys.C @ X
 
 

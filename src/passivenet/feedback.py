@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateSpaceSystem
+from .core import COND_LIMIT, StateSpaceSystem, _condition
 from .errors import DimensionMismatch, NotProperlyPassive, NotWellPosed, ResistanceMismatch
 from .passivity import properly_impedance_passive
 from .transforms import (
-    COND_LIMIT,
     ResistanceMatrix,
     chain_transform,
     external_cayley,
@@ -62,28 +61,17 @@ def _coupled_blocks(p: StateSpaceSystem, q: StateSpaceSystem):
     return Dp22, Dq11
 
 
-def _loop_condition(Delta: np.ndarray, scale: float) -> float:
-    """Invertibility of Delta measured against the loop data scale.
-
-    A plain condition number sigma_max/sigma_min misses the Delta ~ 0 case
-    (a uniformly tiny matrix can look well conditioned), so the gate divides
-    the data scale by sigma_min instead.
-    """
-    if Delta.size == 0:
-        return 1.0
-    sv = np.linalg.svd(Delta, compute_uv=False)
-    return np.inf if sv[-1] == 0.0 else float(scale / sv[-1])
-
-
 def well_posedness(p: StateSpaceSystem, q: StateSpaceSystem) -> WellPosednessReport:
     """Diagnose the feedback loop between p's bottom and q's top port."""
     Dp22, Dq11 = _coupled_blocks(p, q)
     k = Dp22.shape[0]
     np_ = float(np.linalg.norm(Dp22, 2)) if Dp22.size else 0.0
     nq = float(np.linalg.norm(Dq11, 2)) if Dq11.size else 0.0
+    # sigma_max / sigma_min misses the Delta ~ 0 case (a uniformly tiny
+    # matrix can look well conditioned), so measure against the data scale
     scale = 1.0 + np_ * nq
-    d1 = _loop_condition(np.eye(k) - Dp22 @ Dq11, scale)
-    d2 = _loop_condition(np.eye(k) - Dq11 @ Dp22, scale)
+    d1 = _condition(np.eye(k) - Dp22 @ Dq11, scale)
+    d2 = _condition(np.eye(k) - Dq11 @ Dp22, scale)
     return WellPosednessReport(d1, d2, np_ + nq,
                                well_posed=(d1 <= COND_LIMIT and d2 <= COND_LIMIT))
 

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem
+from .core import StateSpaceSystem, _gate
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -342,10 +342,8 @@ def reduce_order(interp: DescriptorInterpolant, k: int,
     Vk = Vt[:k].T
     Lk = Uk.T @ interp.L_mat @ Vk
     Mk = Uk.T @ interp.M_mat @ Vk
-    sv = np.linalg.svd(Lk, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > condition_limit:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-        raise RankDeficient(f"projected Loewner pencil condition {cond:.3e} at order {k}")
+    _gate(Lk, RankDeficient, f"projected Loewner pencil condition {{cond:.3e}} at order {k}",
+          limit=condition_limit)
     A = np.linalg.solve(Lk, Mk)
     B = -np.linalg.solve(Lk, Uk.T @ interp.b).reshape(-1, 1)
     C = (interp.c @ Vk).reshape(1, -1)

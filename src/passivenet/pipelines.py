@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
-from .core import DiscreteSystem, StateSpaceSystem, transfer_function
-from .errors import DimensionMismatch, NotWellPosed
+from .core import DiscreteSystem, StateSpaceSystem
+from .errors import DimensionMismatch, NearSpectrum, NotWellPosed
 from .feedback import star_of_impedance_pair, star_product
 from .loewner import InterpolationScheme, PistonParams
 from .transforms import ResistanceMatrix, external_cayley, inverse_external_cayley
@@ -204,16 +204,12 @@ def butterworth_compose(cfg: ButterworthConfig) -> ButterworthModel:
     ``regularized_rotated`` is always the analytic form with the fast mode
     isolated, and feeds the impedance recovery.
     """
-    if cfg.epsilon <= 0:
-        # the unregularised loop has D = -I against D = -I: not well-posed
-        p = external_cayley(pi_circuit_system(cfg.c1, cfg.c2, cfg.l1),
-                            ResistanceMatrix.scalars(cfg.r0, cfg.r0))
-        q = external_cayley(pi_circuit_system(cfg.c2, cfg.c1, cfg.l1),
-                            ResistanceMatrix.scalars(cfg.r0, cfg.r0))
-        star_product(p, q)  # raises NotWellPosed
     R = ResistanceMatrix.scalars(cfg.r0, cfg.r0)
     p_i = pi_circuit_system(cfg.c1, cfg.c2, cfg.l1)
     q_i = pi_circuit_system(cfg.c2, cfg.c1, cfg.l1)
+    if cfg.epsilon <= 0:
+        # the unregularised loop has D = -I against D = -I: not well-posed
+        star_product(external_cayley(p_i, R), external_cayley(q_i, R))  # raises NotWellPosed
     rotated = _rotated_product(cfg, cfg.epsilon)
     try:
         prod = star_of_impedance_pair(p_i, q_i, R, R,
@@ -240,17 +236,17 @@ class SParams:
 
 
 def butterworth_sparams(cfg: ButterworthConfig, grid_hz) -> SParams:
-    """Reflection s11 and transmission s21 of the coupled ladder at R0 ports."""
+    """Reflection s11 and transmission s21 of the coupled ladder at R0 ports.
+
+    Raises NearSpectrum if any grid point is gated.
+    """
     sys = _rotated_product(cfg, cfg.epsilon) if cfg.epsilon > 0 \
         else minimal_butterworth(cfg)
-    freqs = np.asarray(grid_hz, dtype=float).reshape(-1)
-    s11 = np.empty(freqs.size, dtype=complex)
-    s21 = np.empty(freqs.size, dtype=complex)
-    for i, f in enumerate(freqs):
-        G = transfer_function(sys, 2j * np.pi * f)
-        s11[i] = G[0, 0]
-        s21[i] = G[1, 0]
-    return SParams(freqs, s11, s21)
+    resp = simulate.frequency_response(sys, grid_hz)
+    if not resp.ok.all():
+        bad = resp.frequencies[~resp.ok]
+        raise NearSpectrum(f"{bad.size} grid point(s) on the spectrum, first at {bad[0]} Hz")
+    return SParams(resp.frequencies, resp.values[:, 0, 0], resp.values[:, 1, 0])
 
 
 # ---------------------------------------------------------------------------

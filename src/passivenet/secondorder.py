@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem
+from .core import StateSpaceSystem, _gate
 from .errors import DimensionMismatch, NotSPD, SingularStiffness
 
 #: Eigenvalues of a PSD matrix below this fraction of the largest are
@@ -140,10 +140,8 @@ def first_order_realization(so: SecondOrderSystem, method: str = "colocated",
         B = np.vstack([np.zeros((m, k)), X])
         C = np.hstack([np.zeros((k, m)), X.T])  # co-located: C = B^T bitwise
     elif method == "general":
-        sv = np.linalg.svd(Kh, compute_uv=False)
-        if sv.size == 0 or sv[-1] == 0.0 or sv[0] / sv[-1] > 1e6:
-            raise SingularStiffness(
-                "general path needs invertible K; use the colocated path")
+        _gate(Kh, SingularStiffness,
+              "general path needs invertible K; use the colocated path", limit=1e6)
         Kih = np.linalg.inv(Kh)
         B = np.vstack([np.zeros((m, k)), Mih @ so.F]) / np.sqrt(2.0)
         C = np.sqrt(2.0) * np.hstack([so.Q1 @ Kih, so.Q2 @ Mih])

@@ -8,15 +8,12 @@ transform; for conservative systems the per-step impedance balance
 holds as an identity and can be recorded alongside the outputs.
 
 Frequency sweeps evaluate G(2 pi i f) pointwise; points that land on the
-spectrum are flagged rather than fatal.  Grid evaluation parallelises over
-a thread pool capped by the PASSIVE_NET_THREADS environment variable.
+spectrum are flagged rather than fatal.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,14 +22,6 @@ from scipy.optimize import brentq
 
 from .core import DiscreteSystem, StateSpaceSystem, transfer_function
 from .errors import DimensionMismatch, NearSpectrum, NonPositive
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PASSIVE_NET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +268,12 @@ def frequency_response(sys: StateSpaceSystem, frequencies_hz) -> FrequencyRespon
     freqs = np.asarray(frequencies_hz, dtype=float).reshape(-1)
     values = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
     ok = np.ones(freqs.size, dtype=bool)
-
-    def eval_one(i: int) -> None:
+    for i in range(freqs.size):
         try:
             values[i] = transfer_function(sys, 2j * np.pi * freqs[i])
         except NearSpectrum:
             values[i] = np.nan
             ok[i] = False
-
-    workers = _worker_count()
-    if workers > 1 and freqs.size > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(eval_one, range(freqs.size)))
-    else:
-        for i in range(freqs.size):
-            eval_one(i)
     return FrequencyResponse(freqs, values, ok)
 
 

@@ -30,8 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .core import DiscreteSystem, StateSpaceSystem
+# COND_LIMIT stays importable from here; the gate itself lives in core
+from .core import COND_LIMIT, DiscreteSystem, StateSpaceSystem, _gate  # noqa: F401
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -44,33 +46,13 @@ from .errors import (
     SplitMismatch,
 )
 
-#: Condition-number gate for every block inversion in this module.
-COND_LIMIT = 1e12
-
 
 def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
     """Invert M, raising exc_type with the block name if cond > COND_LIMIT."""
     if M.size == 0:
         return M.reshape(M.shape[1], M.shape[0]).copy()
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        cond = np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]
-        raise exc_type(f"{name} is numerically singular (condition {cond:.3e})")
+    _gate(M, exc_type, name + " is numerically singular (condition {cond:.3e})")
     return np.linalg.inv(M)
-
-
-def _dblocks(sys: StateSpaceSystem):
-    m1 = sys.m1
-    D = sys.D
-    return D[:m1, :m1], D[:m1, m1:], D[m1:, :m1], D[m1:, m1:]
-
-
-def _bsplit(sys: StateSpaceSystem):
-    return sys.B[:, :sys.m1], sys.B[:, sys.m1:]
-
-
-def _csplit(sys: StateSpaceSystem):
-    return sys.C[:sys.m1], sys.C[sys.m1:]
 
 
 def _require_even_split(sys: StateSpaceSystem, what: str) -> None:
@@ -78,73 +60,85 @@ def _require_even_split(sys: StateSpaceSystem, what: str) -> None:
         raise SplitMismatch(f"{what} needs m1 == m2, got split {sys.split}")
 
 
+def _exchange(sys: StateSpaceSystem, inputs: slice, outputs: slice, exc_type,
+              block: str) -> StateSpaceSystem:
+    """Exchange the input group ``inputs`` with the output group ``outputs``.
+
+    Solving y_O = C_O x + D_OI u_I + D_OR u_R for u_I needs
+    X = D[outputs, inputs]^-1 (gated, reported as ``block``).  The freed
+    output y_O becomes an input in u_I's slot and u_I an output in y_O's
+    slot; every other signal keeps its place.
+    """
+    X = _gated_inv(sys.D[outputs, inputs], exc_type, block)
+    Co, Do = sys.C[outputs], sys.D[outputs]
+    BX, DX = sys.B[:, inputs] @ X, sys.D[:, inputs] @ X
+    B, C, D = sys.B - BX @ Do, sys.C - DX @ Co, sys.D - DX @ Do
+    B[:, inputs], C[outputs] = BX, -X @ Co
+    D[:, inputs], D[outputs] = DX, -X @ Do
+    D[outputs, inputs] = X
+    return sys.replace(A=sys.A - BX @ Co, B=B, C=C, D=D)
+
+
+def _halves_swapped(sys: StateSpaceSystem, what: str) -> np.ndarray:
+    _require_even_split(sys, what)
+    return np.r_[sys.m1:sys.m, 0:sys.m1]
+
+
+def _negate_bottom_outputs(sys: StateSpaceSystem) -> StateSpaceSystem:
+    sign = np.r_[np.ones(sys.m1), -np.ones(sys.m2)][:, None]
+    return sys.replace(C=sign * sys.C, D=sign * sys.D)
+
+
 # ---------------------------------------------------------------------------
 # flow-inversion family
 
 def full_inversion(sys: StateSpaceSystem) -> StateSpaceSystem:
     """FI: (A - B D^-1 C, B D^-1, -D^-1 C, D^-1); transfer is G(s)^-1."""
-    Dinv = _gated_inv(sys.D, SingularFeedthrough, "D")
-    return StateSpaceSystem(sys.A - sys.B @ Dinv @ sys.C, sys.B @ Dinv,
-                            -Dinv @ sys.C, Dinv, split=sys.split)
+    return _exchange(sys, slice(None), slice(None), SingularFeedthrough, "D")
 
 
 def output_flip(sys: StateSpaceSystem) -> StateSpaceSystem:
     """OF: exchange the two output row groups of C and D."""
-    _require_even_split(sys, "output flip")
-    C1, C2 = _csplit(sys)
-    D11, D12, D21, D22 = _dblocks(sys)
-    return StateSpaceSystem(sys.A, sys.B, np.vstack([C2, C1]),
-                            np.block([[D21, D22], [D11, D12]]), split=sys.split)
+    p = _halves_swapped(sys, "output flip")
+    return sys.replace(C=sys.C[p], D=sys.D[p])
 
 
 def input_flip(sys: StateSpaceSystem) -> StateSpaceSystem:
     """IF: exchange the two input column groups of B and D (= FI o OF o FI)."""
-    _require_even_split(sys, "input flip")
-    B1, B2 = _bsplit(sys)
-    D11, D12, D21, D22 = _dblocks(sys)
-    return StateSpaceSystem(sys.A, np.hstack([B2, B1]), sys.C,
-                            np.block([[D12, D11], [D22, D21]]), split=sys.split)
+    p = _halves_swapped(sys, "input flip")
+    return sys.replace(B=sys.B[:, p], D=sys.D[:, p])
 
 
 def sign_reversal(sys: StateSpaceSystem) -> StateSpaceSystem:
     """SR: negate the bottom output rows of C and D."""
     _require_even_split(sys, "sign reversal")
-    C1, C2 = _csplit(sys)
-    D11, D12, D21, D22 = _dblocks(sys)
-    return StateSpaceSystem(sys.A, sys.B, np.vstack([C1, -C2]),
-                            np.block([[D11, D12], [-D21, -D22]]), split=sys.split)
+    return _negate_bottom_outputs(sys)
 
 
 def top_inversion(sys: StateSpaceSystem) -> StateSpaceSystem:
     """TI: exchange the roles of u1 and y1 (partial flow inversion)."""
-    D11, D12, D21, D22 = _dblocks(sys)
-    X = _gated_inv(D11, SingularBlock, "D11")
-    B1, B2 = _bsplit(sys)
-    C1, C2 = _csplit(sys)
-    A = sys.A - B1 @ X @ C1
-    B = np.hstack([B1 @ X, B2 - B1 @ X @ D12])
-    C = np.vstack([-X @ C1, C2 - D21 @ X @ C1])
-    D = np.block([[X, -X @ D12],
-                  [D21 @ X, D22 - D21 @ X @ D12]])
-    return StateSpaceSystem(A, B, C, D, split=sys.split)
+    top = slice(None, sys.m1)
+    return _exchange(sys, top, top, SingularBlock, "D11")
 
 
 def bottom_inversion(sys: StateSpaceSystem) -> StateSpaceSystem:
     """BI: exchange the roles of u2 and y2 (= TI o FI = FI o TI)."""
-    D11, D12, D21, D22 = _dblocks(sys)
-    X = _gated_inv(D22, SingularBlock, "D22")
-    B1, B2 = _bsplit(sys)
-    C1, C2 = _csplit(sys)
-    A = sys.A - B2 @ X @ C2
-    B = np.hstack([B1 - B2 @ X @ D21, B2 @ X])
-    C = np.vstack([C1 - D12 @ X @ C2, -X @ C2])
-    D = np.block([[D11 - D12 @ X @ D21, D12 @ X],
-                  [-X @ D21, X]])
-    return StateSpaceSystem(A, B, C, D, split=sys.split)
+    bottom = slice(sys.m1, None)
+    return _exchange(sys, bottom, bottom, SingularBlock, "D22")
 
 
 # ---------------------------------------------------------------------------
 # internal transforms (time axis)
+
+def _moebius(M: np.ndarray, N: np.ndarray, B: np.ndarray, C: np.ndarray,
+             exc_type, message: str):
+    """(M^-1 N, M^-1 B, C M^-1) behind the COND_LIMIT gate on M: the step
+    both Cayley directions share."""
+    _gate(M, exc_type, message)
+    X = np.linalg.solve(M, np.hstack([N, B]))
+    n = M.shape[0]
+    return X[:, :n], X[:, n:], np.linalg.solve(M.T, C.T).T
+
 
 def internal_cayley(sys: StateSpaceSystem, sigma: float) -> DiscreteSystem:
     """Internal Cayley transform (Crank-Nicolson) with parameter sigma > 0.
@@ -154,39 +148,22 @@ def internal_cayley(sys: StateSpaceSystem, sigma: float) -> DiscreteSystem:
     """
     if not sigma > 0:
         raise NearSpectrum(f"sigma must be positive, got {sigma}")
-    n = sys.n
-    if n == 0:
-        return DiscreteSystem(sys.A, sys.B, sys.C, sys.D, sigma=sigma, split=sys.split)
-    M = sigma * np.eye(n) - sys.A
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        raise NearSpectrum(f"sigma={sigma} is numerically on the spectrum of A")
+    I = np.eye(sys.n)
+    Ad, MB, CM = _moebius(sigma * I - sys.A, sigma * I + sys.A, sys.B, sys.C, NearSpectrum,
+                          f"sigma={sigma} is numerically on the spectrum of A")
     root = np.sqrt(2.0 * sigma)
-    X = np.linalg.solve(M, np.hstack([sigma * np.eye(n) + sys.A, sys.B]))
-    Ad = X[:, :n]
-    Bd = root * X[:, n:]
-    Cd = root * np.linalg.solve(M.T, sys.C.T).T
-    Dd = sys.D + sys.C @ X[:, n:]
-    return DiscreteSystem(Ad, Bd, Cd, Dd, sigma=sigma, split=sys.split)
+    return DiscreteSystem(Ad, root * MB, root * CM, sys.D + sys.C @ MB,
+                          sigma=sigma, split=sys.split)
 
 
 def inverse_internal_cayley(phi: DiscreteSystem) -> StateSpaceSystem:
     """Invert the internal Cayley transform; needs -1 off the spectrum of Ad."""
-    n = phi.n
-    sigma = phi.sigma
-    if n == 0:
-        return StateSpaceSystem(phi.Ad, phi.Bd, phi.Cd, phi.Dd, split=phi.split)
-    M = np.eye(n) + phi.Ad
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
-        raise MinusOneEigenvalue("I + Ad is numerically singular; Cayley inverse undefined")
-    root = np.sqrt(2.0 * sigma)
-    X = np.linalg.solve(M, np.hstack([np.eye(n) - phi.Ad, phi.Bd]))
-    A = -sigma * X[:, :n]
-    B = root * X[:, n:]
-    C = root * np.linalg.solve(M.T, phi.Cd.T).T
-    D = phi.Dd - phi.Cd @ X[:, n:]
-    return StateSpaceSystem(A, B, C, D, split=phi.split)
+    I = np.eye(phi.n)
+    MN, MB, CM = _moebius(I + phi.Ad, I - phi.Ad, phi.Bd, phi.Cd, MinusOneEigenvalue,
+                          "I + Ad is numerically singular; Cayley inverse undefined")
+    root = np.sqrt(2.0 * phi.sigma)
+    return StateSpaceSystem(-phi.sigma * MN, root * MB, root * CM, phi.Dd - phi.Cd @ MB,
+                            split=phi.split)
 
 
 def internal_reciprocal(sys: StateSpaceSystem) -> StateSpaceSystem:
@@ -237,12 +214,7 @@ class ResistanceMatrix:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = sum(self.split)
-        out = np.zeros((m, m))
-        m1 = self.split[0]
-        out[:m1, :m1] = self.R1
-        out[m1:, m1:] = self.R2
-        return out
+        return scipy.linalg.block_diag(self.R1, self.R2)
 
     @property
     def sqrt(self) -> np.ndarray:
@@ -296,40 +268,22 @@ def hybrid_transform(sys_i: StateSpaceSystem) -> StateSpaceSystem:
     The bottom output becomes -u2 (current direction flipped so chained
     circuits satisfy Kirchhoff's laws); needs D_i22 invertible.
     """
-    D11, D12, D21, D22 = _dblocks(sys_i)
-    X = _gated_inv(D22, SingularBlock, "D22")
-    B1, B2 = _bsplit(sys_i)
-    C1, C2 = _csplit(sys_i)
-    A = sys_i.A - B2 @ X @ C2
-    B = np.hstack([B1 - B2 @ X @ D21, B2 @ X])
-    C = np.vstack([C1 - D12 @ X @ C2, X @ C2])
-    D = np.block([[D11 - D12 @ X @ D21, D12 @ X],
-                  [X @ D21, -X]])
-    return StateSpaceSystem(A, B, C, D, split=sys_i.split)
+    return _negate_bottom_outputs(bottom_inversion(sys_i))
 
 
 def inverse_hybrid(sys_h: StateSpaceSystem) -> StateSpaceSystem:
-    """Undo the hybrid transform (derived once by the same algebra backwards).
+    """Undo the hybrid transform: BI after negating the bottom outputs.
 
-    Solving the hybrid system's equations for the original (v2 input,
-    -i2 output) pair gives a bottom inversion with the matching signs;
-    validated by round-trip tests rather than any printed formula.
+    The hybrid system's bottom output is -u2; flipping it back and
+    exchanging it with the bottom input recovers (u2 input, y2 output).
     """
-    D11, D12, D21, D22 = _dblocks(sys_h)
-    X = _gated_inv(D22, SingularBlock, "D22")
-    B1, B2 = _bsplit(sys_h)
-    C1, C2 = _csplit(sys_h)
-    A = sys_h.A - B2 @ X @ C2
-    B = np.hstack([B1 - B2 @ X @ D21, -B2 @ X])
-    C = np.vstack([C1 - D12 @ X @ C2, -X @ C2])
-    D = np.block([[D11 - D12 @ X @ D21, -D12 @ X],
-                  [-X @ D21, -X]])
-    return StateSpaceSystem(A, B, C, D, split=sys_h.split)
+    return bottom_inversion(_negate_bottom_outputs(sys_h))
 
 
 def chain_transform(sys: StateSpaceSystem) -> StateSpaceSystem:
     """Chain form: cascading chains equals Redheffer coupling.
 
+    Inputs (u2, y2), outputs (y1, u1): IF after exchanging u1 with y2.
     Needs m1 == m2 and D21 invertible:
         A_c = A - B1 D21^-1 C2
         B_c = [B2 - B1 D21^-1 D22,  B1 D21^-1]
@@ -337,28 +291,11 @@ def chain_transform(sys: StateSpaceSystem) -> StateSpaceSystem:
         D_c = [[D12 - D11 D21^-1 D22, D11 D21^-1], [-D21^-1 D22, D21^-1]]
     """
     _require_even_split(sys, "chain transform")
-    D11, D12, D21, D22 = _dblocks(sys)
-    X = _gated_inv(D21, SingularBlock, "D21")
-    B1, B2 = _bsplit(sys)
-    C1, C2 = _csplit(sys)
-    A = sys.A - B1 @ X @ C2
-    B = np.hstack([B2 - B1 @ X @ D22, B1 @ X])
-    C = np.vstack([C1 - D11 @ X @ C2, -X @ C2])
-    D = np.block([[D12 - D11 @ X @ D22, D11 @ X],
-                  [-X @ D22, X]])
-    return StateSpaceSystem(A, B, C, D, split=sys.split)
+    exchanged = _exchange(sys, slice(None, sys.m1), slice(sys.m1, None), SingularBlock, "D21")
+    return input_flip(exchanged)
 
 
 def inverse_chain(sys_c: StateSpaceSystem) -> StateSpaceSystem:
-    """Undo the chain transform; needs the chain system's D22 invertible."""
+    """Undo the chain transform (IF o BI); needs the chain system's D22 invertible."""
     _require_even_split(sys_c, "inverse chain transform")
-    D11, D12, D21, D22 = _dblocks(sys_c)
-    X = _gated_inv(D22, SingularBlock, "D22")
-    B1, B2 = _bsplit(sys_c)
-    C1, C2 = _csplit(sys_c)
-    A = sys_c.A - B2 @ X @ C2
-    B = np.hstack([B2 @ X, B1 - B2 @ X @ D21])
-    C = np.vstack([C1 - D12 @ X @ C2, -X @ C2])
-    D = np.block([[D12 @ X, D11 - D12 @ X @ D21],
-                  [X, -X @ D21]])
-    return StateSpaceSystem(A, B, C, D, split=sys_c.split)
+    return input_flip(bottom_inversion(sys_c))

@@ -196,6 +196,30 @@ class TestImmutability:
         assert np.array_equal(sys.C * 2.0, other.C)
 
 
+class TestDiscreteValidation:
+    """DiscreteSystem validates its quadruple exactly like StateSpaceSystem."""
+
+    def test_non_square_generator_rejected(self):
+        with pytest.raises(DimensionMismatch, match="Ad"):
+            DiscreteSystem(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)),
+                           np.zeros((1, 1)), sigma=1.0)
+
+    def test_zero_ports_rejected(self):
+        with pytest.raises(DimensionMismatch, match="Dd"):
+            DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((0, 1)),
+                           np.zeros((0, 0)), sigma=1.0)
+
+    def test_non_square_feedthrough_rejected(self):
+        with pytest.raises(DimensionMismatch, match="Dd"):
+            DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)),
+                           np.zeros((2, 3)), sigma=1.0)
+
+    def test_non_positive_sigma_rejected(self):
+        with pytest.raises(DimensionMismatch, match="sigma"):
+            DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), sigma=0.0)
+
+
 class TestPortSignalFrame:
     def test_width_check(self):
         from passivenet.core import PortSignalFrame

@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from passivenet.core import io_equivalent, minimality, transfer_function
-from passivenet.errors import NotWellPosed
+from passivenet.errors import NearSpectrum, NotWellPosed
 from passivenet.passivity import (
     CONSERVATIVE,
     impedance_certificate,
@@ -148,6 +148,14 @@ class TestSParams:
         sp = butterworth_sparams(CFG, np.array([1e6]))
         level_db = 20 * np.log10(abs(sp.s21[0]))
         assert level_db == pytest.approx(-4.906, abs=0.01)
+
+    def test_gated_point_raises(self, monkeypatch):
+        # a sweep only flags gated points; the S-parameter table must not
+        # silently carry them, so any gated point is fatal here
+        from passivenet import core
+        monkeypatch.setattr(core, "RCOND_FLOOR", 1e300)
+        with pytest.raises(NearSpectrum):
+            butterworth_sparams(CFG, np.array([2e5, 1e6]))
 
 
 @pytest.fixture(scope="module")

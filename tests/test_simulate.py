@@ -181,16 +181,6 @@ class TestFrequencyResponseFlags:
         assert not resp.ok[1]
         assert np.isnan(resp.values[1]).all()
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("PASSIVE_NET_THREADS", "4")
-        sys = StateSpaceSystem(-np.eye(3), np.ones((3, 1)), np.ones((1, 3)),
-                               np.zeros((1, 1)), split=(1, 0))
-        grid = np.linspace(1.0, 50.0, 40)
-        parallel = frequency_response(sys, grid)
-        monkeypatch.setenv("PASSIVE_NET_THREADS", "1")
-        serial = frequency_response(sys, grid)
-        assert np.array_equal(parallel.values, serial.values)
-
 
 class TestEpsilonContinuity:
     def test_regularised_composite_frequencies_continuous(self):

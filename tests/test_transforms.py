@@ -3,6 +3,8 @@ change: flow inversions, Cayley pairs, reciprocals, hybrid and chain."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_conservative,
@@ -100,6 +102,63 @@ class TestFlowInversions:
         for fn in (output_flip, input_flip, sign_reversal):
             with pytest.raises(SplitMismatch):
                 fn(sys)
+
+
+def _port_system(rng, n, m1, m2):
+    """Every block a transform may invert is well conditioned: D = I + E
+    with |E| <= 0.3, plus an identity in D21 for even splits (chain)."""
+    m = m1 + m2
+    E = rng.standard_normal((m, m))
+    D = np.eye(m) + 0.3 * E / np.linalg.norm(E, 2)
+    if m1 == m2:
+        D[m1:, :m1] += np.eye(m1)
+    return StateSpaceSystem(rng.standard_normal((n, n)) - 2.0 * np.eye(n),
+                            rng.standard_normal((n, m)), rng.standard_normal((m, n)),
+                            D, split=(m1, m2))
+
+
+def _cat(*parts):
+    return np.concatenate(parts)
+
+
+# transform, whether it needs m1 == m2, and the documented signal mapping:
+# driving the transformed system with w gives z; these are the original
+# system's (u, y), with w = (w1, w2), z = (z1, z2) cut at the split
+PORT_MAPS = {
+    "FI": (full_inversion, False, lambda w1, w2, z1, z2: (_cat(z1, z2), _cat(w1, w2))),
+    "TI": (top_inversion, False, lambda w1, w2, z1, z2: (_cat(z1, w2), _cat(w1, z2))),
+    "BI": (bottom_inversion, False, lambda w1, w2, z1, z2: (_cat(w1, z2), _cat(z1, w2))),
+    "hybrid": (hybrid_transform, False,
+               lambda w1, w2, z1, z2: (_cat(w1, -z2), _cat(z1, w2))),
+    "inverse_hybrid": (inverse_hybrid, False,
+                       lambda w1, w2, z1, z2: (_cat(w1, z2), _cat(z1, -w2))),
+    "chain": (chain_transform, True, lambda w1, w2, z1, z2: (_cat(z2, w1), _cat(z1, w2))),
+    "inverse_chain": (inverse_chain, True,
+                      lambda w1, w2, z1, z2: (_cat(w2, z2), _cat(z1, w1))),
+}
+
+
+class TestPortEquations:
+    """Drive the transformed system at a random s, map its signals back
+    through the documented exchange, and check y = G(s) u of the original."""
+
+    @pytest.mark.parametrize("name", sorted(PORT_MAPS))
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+           m1=st.integers(1, 3), m2=st.integers(1, 3))
+    def test_original_port_equations_hold(self, name, seed, n, m1, m2):
+        transform, even, mapping = PORT_MAPS[name]
+        if even:
+            m2 = m1
+        rng = np.random.default_rng(seed)
+        sys = _port_system(rng, n, m1, m2)
+        s = rng.uniform(0.5, 3.0) * np.exp(1j * rng.uniform(0.2, 2.9))
+        w = rng.standard_normal(m1 + m2) + 1j * rng.standard_normal(m1 + m2)
+        z = transfer_dense(transform(sys), s) @ w
+        u, y = mapping(w[:m1], w[m1:], z[:m1], z[m1:])
+        G = transfer_dense(sys, s)
+        scale = np.linalg.norm(G, 2) * np.linalg.norm(u) + np.linalg.norm(y)
+        assert np.linalg.norm(G @ u - y) <= 1e-9 * scale
 
 
 class TestInternalCayley:
