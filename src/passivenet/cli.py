@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (and: passive/conservative for `check`), 1 usage or
-I/O error, 2 not passive, 3 a singular block or non-well-posed loop.
+I/O error, 2 not passive, 3 any `GateError` (a numerical gate fired: a
+singular block, a near-spectrum solve, a non-well-posed loop, ...).
 '-' stands for stdin/stdout on single-file commands.  Pipeline runs write
 their outputs plus a manifest.json recording the command line, the SHA-256
 of the config bytes, the seed, the tool version, wall time and the output
@@ -16,24 +17,14 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, feedback, pipelines, simulate, transforms, websterfem
 from .core import system_from_json, system_to_json, DiscreteSystem, StateSpaceSystem
-from .errors import (
-    NotWellPosed,
-    PassiveNetError,
-    SingularBlock,
-    SingularFeedthrough,
-    SingularGenerator,
-    SingularShiftedFeedthrough,
-    OneEigenvalue,
-    MinusOneEigenvalue,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, GateError, ParseError, PassiveNetError
 from .passivity import (
     discrete_impedance_certificate,
     discrete_scattering_certificate,
@@ -41,11 +32,6 @@ from .passivity import (
     scattering_conservative_check,
     scattering_passive_via_cayley,
 )
-
-_SINGULAR = (SingularBlock, SingularFeedthrough, SingularGenerator,
-             SingularShiftedFeedthrough, OneEigenvalue, MinusOneEigenvalue,
-             NotWellPosed, RankDeficient)
-
 
 def _tolerance_policy() -> dict:
     from .core import COND_LIMIT, RCOND_FLOOR, RANK_RTOL
@@ -68,9 +54,7 @@ class RunManifest:
     tolerances: dict = field(default_factory=_tolerance_policy)
 
     def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=1)
-            fh.write("\n")
+        path.write_text(_json_text(self.__dict__), encoding="utf-8")
 
 
 def _read_text(path: str) -> str:
@@ -86,6 +70,10 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=1) + "\n"
+
+
 def _load_system(path: str):
     return system_from_json(json.loads(_read_text(path)))
 
@@ -94,8 +82,7 @@ def cmd_check(args) -> int:
     sys_obj = _load_system(args.system)
     if args.kind == "impedance":
         if not isinstance(sys_obj, StateSpaceSystem):
-            print("error: impedance check needs a continuous system", file=sys.stderr)
-            return 1
+            raise DimensionMismatch("impedance check needs a continuous system")
         cert = impedance_certificate(sys_obj)
     elif args.kind == "scattering":
         if isinstance(sys_obj, DiscreteSystem):
@@ -115,11 +102,6 @@ def cmd_check(args) -> int:
     return 0 if cert.passive else 2
 
 
-_TRANSFORM_OPS = ("fi", "of", "ti", "sr", "bi", "if", "cayley", "icayley",
-                  "extcayley", "iextcayley", "recip", "hybrid", "ihybrid",
-                  "chain", "ichain", "regularize")
-
-
 def _resistance(args, split) -> transforms.ResistanceMatrix:
     m1, m2 = split
     R1 = args.R1 * np.eye(m1)
@@ -127,31 +109,31 @@ def _resistance(args, split) -> transforms.ResistanceMatrix:
     return transforms.ResistanceMatrix(R1, R2)
 
 
+# --op name -> fn(system, args)
+_TRANSFORMS = {
+    "fi": lambda s, a: transforms.full_inversion(s),
+    "of": lambda s, a: transforms.output_flip(s),
+    "ti": lambda s, a: transforms.top_inversion(s),
+    "sr": lambda s, a: transforms.sign_reversal(s),
+    "bi": lambda s, a: transforms.bottom_inversion(s),
+    "if": lambda s, a: transforms.input_flip(s),
+    "cayley": lambda s, a: transforms.internal_cayley(s, a.sigma),
+    "icayley": lambda s, a: transforms.inverse_internal_cayley(s),
+    "extcayley": lambda s, a: feedback.regularized_external_cayley(s, _resistance(a, s.split),
+                                                                   a.epsilon),
+    "iextcayley": lambda s, a: transforms.inverse_external_cayley(s, _resistance(a, s.split)),
+    "recip": lambda s, a: transforms.internal_reciprocal(s),
+    "hybrid": lambda s, a: transforms.hybrid_transform(s),
+    "ihybrid": lambda s, a: transforms.inverse_hybrid(s),
+    "chain": lambda s, a: transforms.chain_transform(s),
+    "ichain": lambda s, a: transforms.inverse_chain(s),
+    "regularize": lambda s, a: feedback.regularize(s, a.epsilon),
+}
+
+
 def cmd_transform(args) -> int:
-    sys_obj = _load_system(args.system)
-    op = args.op
-    if op in ("cayley",):
-        out = transforms.internal_cayley(sys_obj, args.sigma)
-    elif op == "icayley":
-        out = transforms.inverse_internal_cayley(sys_obj)
-    elif op == "extcayley":
-        sys_obj = feedback.regularize(sys_obj, args.epsilon)
-        out = transforms.external_cayley(sys_obj, _resistance(args, sys_obj.split))
-    elif op == "iextcayley":
-        out = transforms.inverse_external_cayley(sys_obj, _resistance(args, sys_obj.split))
-    elif op == "regularize":
-        out = feedback.regularize(sys_obj, args.epsilon)
-    else:
-        fn = {"fi": transforms.full_inversion, "of": transforms.output_flip,
-              "ti": transforms.top_inversion, "sr": transforms.sign_reversal,
-              "bi": transforms.bottom_inversion, "if": transforms.input_flip,
-              "recip": transforms.internal_reciprocal,
-              "hybrid": transforms.hybrid_transform,
-              "ihybrid": transforms.inverse_hybrid,
-              "chain": transforms.chain_transform,
-              "ichain": transforms.inverse_chain}[op]
-        out = fn(sys_obj)
-    _write_text(args.output, json.dumps(system_to_json(out), indent=1) + "\n")
+    out = _TRANSFORMS[args.op](_load_system(args.system), args)
+    _write_text(args.output, _json_text(system_to_json(out)))
     return 0
 
 
@@ -161,87 +143,79 @@ def cmd_star(args) -> int:
     report = feedback.well_posedness(p, q)
     print(json.dumps(report.to_json()), file=sys.stderr)
     out = feedback.star_product(p, q)
-    _write_text(args.output, json.dumps(system_to_json(out), indent=1) + "\n")
+    _write_text(args.output, _json_text(system_to_json(out)))
     return 0
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _run_pipeline(args, config_type, extra_keys: tuple[str, ...], compute) -> int:
+    """Parse ``args.config`` (a JSON object over the fields of ``config_type``
+    and ``extra_keys``; empty means {}), run ``compute(config) -> (seed,
+    {file name: text})`` and write the files, then manifest.json, to ``args.out``."""
+    text = _read_text(args.config)
+    config = json.loads(text) if text.strip() else {}
+    if not isinstance(config, dict):
+        raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
+    unknown = set(config) - {f.name for f in fields(config_type)} - set(extra_keys)
+    if unknown:
+        raise ParseError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    t0 = time.monotonic()
+    seed, files = compute(config)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        (outdir / name).write_text(body, encoding="utf-8")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    manifest = RunManifest(args.command, digest, seed, __version__,
+                           time.monotonic() - t0, list(files))
+    manifest.write(outdir / "manifest.json")
+    return 0
 
 
 def cmd_butterworth(args) -> int:
-    text = _read_text(args.config)
-    cfg_json = json.loads(text) if text.strip() else {}
-    seed = int(cfg_json.pop("seed", 0))
-    grid = cfg_json.pop("grid_hz", None)
-    cfg = pipelines.ButterworthConfig(**cfg_json)
-    t0 = time.monotonic()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    model = pipelines.butterworth_compose(cfg)
-    freqs = (np.asarray(grid, dtype=float) if grid is not None
-             else np.geomspace(1e4, 1e7, 400))
-    sp = pipelines.butterworth_sparams(cfg, freqs)
-    outputs = []
+    def compute(config):
+        seed = int(config.pop("seed", 0))
+        grid = config.pop("grid_hz", None)
+        cfg = pipelines.ButterworthConfig(**config)
+        model = pipelines.butterworth_compose(cfg)
+        freqs = (np.asarray(grid, dtype=float) if grid is not None
+                 else np.geomspace(1e4, 1e7, 400))
+        sp = pipelines.butterworth_sparams(cfg, freqs)
+        return seed, {
+            "sparams.csv": simulate._csv_text(
+                ["f_hz", "re_s11", "im_s11", "re_s21", "im_s21"],
+                [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag]),
+            **{f"{name}.json": _json_text(system_to_json(getattr(model, name)))
+               for name in ("regularized", "impedance", "minimal")}}
 
-    def save(name: str, text_out: str) -> None:
-        (outdir / name).write_text(text_out, encoding="utf-8")
-        outputs.append(name)
-
-    rows = ["f_hz,re_s11,im_s11,re_s21,im_s21"]
-    for f, a, b in zip(sp.frequencies, sp.s11, sp.s21):
-        rows.append(f"{f:.17g},{a.real:.17g},{a.imag:.17g},{b.real:.17g},{b.imag:.17g}")
-    save("sparams.csv", "\n".join(rows) + "\n")
-    for name, sys_obj in (("regularized.json", model.regularized),
-                          ("impedance.json", model.impedance),
-                          ("minimal.json", model.minimal)):
-        save(name, json.dumps(system_to_json(sys_obj), indent=1) + "\n")
-    manifest = RunManifest("butterworth", _digest(text), seed, __version__,
-                           time.monotonic() - t0, outputs)
-    manifest.write(outdir / "manifest.json")
-    return 0
+    return _run_pipeline(args, pipelines.ButterworthConfig, ("seed", "grid_hz"), compute)
 
 
 def cmd_waveguide(args) -> int:
-    text = _read_text(args.config)
-    cfg_json = json.loads(text) if text.strip() else {}
-    if "area_csv" in cfg_json:
-        area = websterfem.load_area_csv(cfg_json.pop("area_csv"))
-    elif "area" in cfg_json:
-        spec = cfg_json.pop("area")
-        area = websterfem.AreaFunction(np.asarray(spec["nodes"]), np.asarray(spec["areas"]))
-    else:
-        area = pipelines.uniform_tube()
-    cfg = pipelines.WaveguideConfig(area=area, **cfg_json)
-    t0 = time.monotonic()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    comp = pipelines.waveguide_compose(cfg)
-    report = pipelines.waveguide_report(comp)
-    outputs = []
-    res_rows = ["f_hz,decay_1_per_s"]
-    for f, d in report.resonances:
-        res_rows.append(f"{f:.17g},{d:.17g}")
-    (outdir / "resonances.csv").write_text("\n".join(res_rows) + "\n", encoding="utf-8")
-    outputs.append("resonances.csv")
-    simulate.write_response_csv(outdir / "response.csv", report.response)
-    outputs.append("response.csv")
-    simulate.write_timeseries_csv(outdir / "timeseries.csv", report.time,
-                                  {"flow": report.flow,
-                                   "p_folds": report.pressure_folds,
-                                   "p_mouth": report.pressure_mouth})
-    outputs.append("timeseries.csv")
-    (outdir / "composite.json").write_text(
-        json.dumps(system_to_json(comp.composite_impedance), indent=1) + "\n",
-        encoding="utf-8")
-    outputs.append("composite.json")
-    (outdir / "scheme.json").write_text(
-        json.dumps(comp.scheme.to_json(), indent=1) + "\n", encoding="utf-8")
-    outputs.append("scheme.json")
-    manifest = RunManifest("waveguide", _digest(text), cfg.seed, __version__,
-                           time.monotonic() - t0, outputs)
-    manifest.write(outdir / "manifest.json")
-    return 0
+    def compute(config):
+        area_csv, spec = config.pop("area_csv", None), config.pop("area", None)
+        if area_csv is not None:
+            area = websterfem.load_area_csv(area_csv)
+        elif spec is not None:
+            if not isinstance(spec, dict) or not {"nodes", "areas"} <= spec.keys():
+                raise ParseError("inline area needs an object with 'nodes' and 'areas'")
+            area = websterfem.AreaFunction(np.asarray(spec["nodes"]), np.asarray(spec["areas"]))
+        else:
+            area = pipelines.uniform_tube()
+        cfg = pipelines.WaveguideConfig(area=area, **config)
+        comp = pipelines.waveguide_compose(cfg)
+        report = pipelines.waveguide_report(comp)
+        res = report.resonances
+        return cfg.seed, {
+            "resonances.csv": simulate._csv_text(["f_hz", "decay_1_per_s"],
+                                                 [res.frequencies, res.decay_rates]),
+            "response.csv": simulate._response_csv(report.response),
+            "timeseries.csv": simulate._timeseries_csv(
+                report.time, {"flow": report.flow, "p_folds": report.pressure_folds,
+                              "p_mouth": report.pressure_mouth}),
+            "composite.json": _json_text(system_to_json(comp.composite_impedance)),
+            "scheme.json": _json_text(comp.scheme.to_json())}
+
+    return _run_pipeline(args, pipelines.WaveguideConfig, ("area_csv",), compute)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a representation change")
     p.add_argument("system")
-    p.add_argument("--op", choices=_TRANSFORM_OPS, required=True)
+    p.add_argument("--op", choices=tuple(_TRANSFORMS), required=True)
     p.add_argument("--sigma", type=float, default=88200.0)
     p.add_argument("--R1", type=float, default=1.0)
     p.add_argument("--R2", type=float, default=None)
@@ -277,15 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_star)
 
-    p = sub.add_parser("butterworth", help="run the Butterworth pipeline")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_butterworth)
-
-    p = sub.add_parser("waveguide", help="run the terminated-waveguide pipeline")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_waveguide)
+    for name, fn, what in (("butterworth", cmd_butterworth, "Butterworth"),
+                           ("waveguide", cmd_waveguide, "terminated-waveguide")):
+        p = sub.add_parser(name, help=f"run the {what} pipeline")
+        p.add_argument("config")
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -293,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _SINGULAR as exc:
+    except GateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PassiveNetError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -10,14 +10,13 @@ linear solve with a reciprocal-condition gate, never by an explicit inverse.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NearSpectrum
+from .errors import DimensionMismatch, NearSpectrum, SingularBlock
 
 #: Relative reciprocal-condition threshold below which a resolvent solve
 #: is rejected as "on top of the spectrum".
@@ -44,6 +43,14 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    """Store read-only copies of ``arrays`` as fields of the frozen dataclass ``obj``."""
+    for name, arr in arrays.items():
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def _freeze_quadruple(sys, names: tuple[str, str, str, str]) -> None:
     """Check a frozen system's quadruple (field ``names``) and split, then
     store read-only copies.  The default split halves an even m, else (m, 0).
@@ -65,10 +72,7 @@ def _freeze_quadruple(sys, names: tuple[str, str, str, str]) -> None:
     m1, m2 = int(split[0]), int(split[1])
     if m1 < 0 or m2 < 0 or m1 + m2 != m:
         raise DimensionMismatch(f"split {split} incompatible with m={m}")
-    for name, arr in zip(names, (A, B, C, D)):
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(sys, name, arr)
+    _freeze(sys, **dict(zip(names, (A, B, C, D))))
     object.__setattr__(sys, "split", (m1, m2))
 
 
@@ -175,6 +179,12 @@ def _gate(M: np.ndarray, exc_type, message: str, limit: float = COND_LIMIT) -> N
     cond = _condition(M)
     if cond > limit:
         raise exc_type(message.format(cond=cond))
+
+
+def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
+    """Invert square M, raising exc_type with the block name if cond > COND_LIMIT."""
+    _gate(M, exc_type, name + " is numerically singular (condition {cond:.3e})")
+    return np.linalg.inv(M)
 
 
 def _gated_solve(M: np.ndarray, rhs: np.ndarray, message: str) -> np.ndarray:
@@ -290,7 +300,7 @@ def cascade_product(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSyste
 def similarity(sys: StateSpaceSystem, T: np.ndarray) -> StateSpaceSystem:
     """Change state coordinates x -> T^-1 x; the transfer function is unchanged."""
     T = _as_matrix("T", T, (sys.n, sys.n))
-    Tinv = np.linalg.inv(T)
+    Tinv = _gated_inv(T, SingularBlock, "T")
     return sys.replace(A=Tinv @ sys.A @ T, B=Tinv @ sys.B, C=sys.C @ T)
 
 
@@ -349,8 +359,8 @@ def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8,
     if p.m != q.m:
         raise DimensionMismatch(f"io_equivalent needs equal signal width, got {p.m} vs {q.m}")
     npts = p.n + q.n + 1
-    lo = min(_spectrum_scale(p)[0], _spectrum_scale(q)[0])
-    hi = max(_spectrum_scale(p)[1], _spectrum_scale(q)[1])
+    (lo_p, hi_p), (lo_q, hi_q) = _spectrum_scale(p), _spectrum_scale(q)
+    lo, hi = min(lo_p, lo_q), max(hi_p, hi_q)
     for attempt in range(5):
         rng = np.random.default_rng(seed + 7919 * attempt)
         mags = np.exp(rng.uniform(np.log(0.3 * lo), np.log(3.0 * hi), npts))
@@ -411,13 +421,3 @@ def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
                               sigma=float(obj["sigma"]), split=(m1, m2))
     return StateSpaceSystem(mats["A"], mats["B"], mats["C"], mats["D"], split=(m1, m2))
 
-
-def load_system(path: str) -> StateSpaceSystem | DiscreteSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_json(json.load(fh))
-
-
-def save_system(path: str, sys: StateSpaceSystem | DiscreteSystem) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(sys), fh, indent=1)
-        fh.write("\n")

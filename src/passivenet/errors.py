@@ -10,6 +10,10 @@ class PassiveNetError(Exception):
     """Base class for all toolkit errors."""
 
 
+class GateError(PassiveNetError):
+    """A numerical gate fired (a needed inverse is too ill-conditioned); CLI exit 3."""
+
+
 class DimensionMismatch(PassiveNetError):
     """Operands have incompatible matrix or port dimensions."""
 
@@ -18,38 +22,38 @@ class SplitMismatch(PassiveNetError):
     """A port-splitting transform needs equal top/bottom widths."""
 
 
-class NearSpectrum(PassiveNetError):
+class NearSpectrum(GateError):
     """A resolvent solve (s - A)^-1 is too ill-conditioned to trust."""
 
 
-class SingularFeedthrough(PassiveNetError):
+class SingularFeedthrough(GateError):
     """Full inversion needs an invertible feedthrough matrix D."""
 
 
-class SingularBlock(PassiveNetError):
+class SingularBlock(GateError):
     """A feedthrough sub-block required by a transform is singular.
 
     Carries the block name ("D11", "D22", "D21", ...) in the message.
     """
 
 
-class SingularGenerator(PassiveNetError):
+class SingularGenerator(GateError):
     """The internal reciprocal needs an invertible generator A."""
 
 
-class SingularShiftedFeedthrough(PassiveNetError):
+class SingularShiftedFeedthrough(GateError):
     """The external Cayley transform needs D_i + R invertible."""
 
 
-class OneEigenvalue(PassiveNetError):
+class OneEigenvalue(GateError):
     """The inverse external Cayley transform needs I - D invertible."""
 
 
-class MinusOneEigenvalue(PassiveNetError):
+class MinusOneEigenvalue(GateError):
     """The inverse internal Cayley transform needs I + A_d invertible."""
 
 
-class NotWellPosed(PassiveNetError):
+class NotWellPosed(GateError):
     """A feedback loop's Delta matrices are singular.
 
     The attached :class:`~passivenet.feedback.WellPosednessReport` is stored
@@ -73,7 +77,7 @@ class NotSPD(PassiveNetError):
     """A matrix expected symmetric positive (semi)definite is not."""
 
 
-class SingularStiffness(PassiveNetError):
+class SingularStiffness(GateError):
     """The general second-order realisation path needs invertible K."""
 
 
@@ -101,7 +105,7 @@ class PairingViolation(PassiveNetError):
     """Interpolation data is not conjugate-symmetric; cannot realify."""
 
 
-class RankDeficient(PassiveNetError):
+class RankDeficient(GateError):
     """The projected Loewner pencil is numerically singular at this order."""
 
 

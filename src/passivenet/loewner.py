@@ -27,10 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _gate
+from .core import StateSpaceSystem, _freeze, _gate
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
+    NearSpectrum,
     OutOfEnvelope,
     PairingViolation,
     RankDeficient,
@@ -64,30 +65,28 @@ def _check_envelope(z: complex) -> complex:
     return z
 
 
-def _j1_series(z: complex) -> complex:
-    half = _LD(z) / 2
-    zz = half * half
-    term = half
+def _series(term, zz, a, b) -> complex:
+    """Sum the alternating series whose k-th term is the previous one times
+    -zz / ((k + a)(k + b)), starting from ``term``, in extended precision."""
     total = term
     for k in range(1, 200):
-        term = -term * zz / (k * (k + 1))
+        term = -term * zz / ((k + a) * (k + b))
         total += term
         if abs(term) <= 1e-25 * abs(total) + _LD(1e-320):
             break
     return complex(total)
+
+
+def _j1_series(z: complex) -> complex:
+    half = _LD(z) / 2
+    return _series(half, half * half, 0, 1)
 
 
 def _h1_series(z: complex) -> complex:
     half = _LD(z) / 2
     zz = half * half
-    term = zz / _LD(3 * np.pi / 8)  # (z/2)^2 / (Gamma(3/2) Gamma(5/2))
-    total = term
-    for k in range(1, 200):
-        term = -term * zz / ((k + _LD(0.5)) * (k + _LD(1.5)))
-        total += term
-        if abs(term) <= 1e-25 * abs(total) + _LD(1e-320):
-            break
-    return complex(total)
+    # (z/2)^2 / (Gamma(3/2) Gamma(5/2))
+    return _series(zz / _LD(3 * np.pi / 8), zz, _LD(0.5), _LD(1.5))
 
 
 def _hankel_pq(z: complex) -> tuple[complex, complex]:
@@ -228,10 +227,7 @@ class InterpolationScheme:
                     f"{name} must list conjugate pairs consecutively")
         if np.intersect1d(mu, lam).size:
             raise CoincidentPoints("mu and lambda must be disjoint")
-        for name, arr in (("mu", mu), ("lam", lam)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, mu=mu, lam=lam)
 
     @property
     def m(self) -> int:
@@ -272,8 +268,14 @@ class DescriptorInterpolant:
         return self.L_mat.shape[0]
 
     def transfer(self, s: complex) -> complex:
-        """Descriptor transfer -c^T (sL - M)^-1 b evaluated directly."""
-        return complex(-self.c @ np.linalg.solve(s * self.L_mat - self.M_mat, self.b))
+        """Descriptor transfer -c^T (sL - M)^-1 b by a direct solve; only an
+        exactly singular sL - M raises NearSpectrum (full-order Loewner
+        pencils are numerically singular by design, so no condition gate)."""
+        try:
+            x = np.linalg.solve(s * self.L_mat - self.M_mat, self.b)
+        except np.linalg.LinAlgError:
+            raise NearSpectrum(f"s={s}: sL - M is singular") from None
+        return complex(-self.c @ x)
 
 
 def loewner_matrices(scheme: InterpolationScheme, values_mu: np.ndarray,

@@ -343,12 +343,11 @@ def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
     interp = loewner.reduce_order(loewner.realify(
         loewner.loewner_matrices(scheme, vm, vl)), cfg.k)
     load = interp.reduced
-    Rp = ResistanceMatrix(np.array([[cfg.r1]]), np.array([[cfg.r2]]))
-    Rq = ResistanceMatrix(np.array([[cfg.r2]]), np.zeros((0, 0)))
+    Rp = ResistanceMatrix.scalars(cfg.r1, cfg.r2)
+    Rq = ResistanceMatrix.scalars(cfg.r2)
     prod = star_of_impedance_pair(tube.system, load, Rp, Rq,
                                   epsilon_p=0.0, epsilon_q=cfg.epsilon)
-    composite = inverse_external_cayley(
-        prod, ResistanceMatrix(np.array([[cfg.r1]]), np.zeros((0, 0))))
+    composite = inverse_external_cayley(prod, ResistanceMatrix.scalars(cfg.r1))
     discrete = transforms.internal_cayley(composite, cfg.sigma)
     mouth_row = np.concatenate([tube.system.C[1], np.zeros(cfg.k)])
     return WaveguideComposite(tube, piston, scheme, interp, load,

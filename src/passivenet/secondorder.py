@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _gate
+from .core import StateSpaceSystem, _freeze, _gate
 from .errors import DimensionMismatch, NotSPD, SingularStiffness
 
 #: Eigenvalues of a PSD matrix below this fraction of the largest are
@@ -102,10 +102,7 @@ class SecondOrderSystem:
         Q2 = 0.5 * F.T if self.Q2 is None else np.asarray(self.Q2, dtype=float)
         if Q1.shape != (k, m) or Q2.shape != (k, m):
             raise DimensionMismatch(f"Q1, Q2 must be {k} x {m}")
-        for name, arr in (("M", M), ("P", P), ("K", K), ("F", F), ("Q1", Q1), ("Q2", Q2)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, M=M, P=P, K=K, F=F, Q1=Q1, Q2=Q2)
 
     @property
     def size(self) -> int:

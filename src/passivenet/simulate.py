@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -184,9 +185,13 @@ def lf_pulse_train(spec: ExcitationSpec) -> np.ndarray:
     return np.clip(flow, 0.0, None)
 
 
+def _sweep_end(spec: ExcitationSpec) -> float:
+    return spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
+
+
 def log_sweep(spec: ExcitationSpec) -> np.ndarray:
     """Constant-amplitude logarithmic sweep from f0 to f1."""
-    f1 = spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
+    f1 = _sweep_end(spec)
     if f1 <= spec.f0:
         raise DimensionMismatch(f"sweep end {f1} must exceed start {spec.f0}")
     t = np.arange(spec.n_samples) / spec.sample_rate
@@ -198,8 +203,7 @@ def log_sweep(spec: ExcitationSpec) -> np.ndarray:
 
 def sweep_instant_frequency(spec: ExcitationSpec, t: np.ndarray) -> np.ndarray:
     """Instantaneous frequency of the log sweep at times t."""
-    f1 = spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
-    r = math.log(f1 / spec.f0)
+    r = math.log(_sweep_end(spec) / spec.f0)
     return spec.f0 * np.exp(np.asarray(t) * r / spec.duration)
 
 
@@ -288,25 +292,29 @@ def semitone_discrepancy(f_model: float, f_target: float) -> float:
 # CSV output (17 significant digits so doubles round-trip exactly)
 
 
+def _csv_text(names: list[str], columns) -> str:
+    """Header ``names`` and one row per entry of the equal-length ``columns``."""
+    rows = [",".join(names)]
+    rows += [",".join(f"{v:.17g}" for v in row)
+             for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return "\n".join(rows) + "\n"
+
+
+def _timeseries_csv(t: np.ndarray, columns: dict[str, np.ndarray]) -> str:
+    return _csv_text(["t_s", *columns], [t, *columns.values()])
+
+
+def _response_csv(resp: FrequencyResponse) -> str:
+    """f_hz, then re/im of every G_ij, row-major in (i, j)."""
+    n, m, _ = resp.values.shape
+    heads = [f"{p}_{i+1}{j+1}" for i in range(m) for j in range(m) for p in ("re", "im")]
+    parts = np.stack([resp.values.real, resp.values.imag], axis=-1).reshape(n, -1)
+    return _csv_text(["f_hz", *heads], [resp.frequencies, *parts.T])
+
+
 def write_timeseries_csv(path, t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
-    names = ",".join(columns.keys())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t_s,{names}\n")
-        cols = list(columns.values())
-        for i, ti in enumerate(t):
-            row = ",".join(f"{c[i]:.17g}" for c in cols)
-            fh.write(f"{ti:.17g},{row}\n")
+    Path(path).write_text(_timeseries_csv(t, columns), encoding="utf-8")
 
 
 def write_response_csv(path, resp: FrequencyResponse) -> None:
-    m = resp.values.shape[1]
-    heads = [f"{p}_{i+1}{j+1}" for i in range(m) for j in range(m) for p in ("re", "im")]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("f_hz," + ",".join(heads) + "\n")
-        for idx, f in enumerate(resp.frequencies):
-            cells = []
-            for i in range(m):
-                for j in range(m):
-                    v = resp.values[idx, i, j]
-                    cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-            fh.write(f"{f:.17g}," + ",".join(cells) + "\n")
+    Path(path).write_text(_response_csv(resp), encoding="utf-8")

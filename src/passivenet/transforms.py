@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg
 
 # COND_LIMIT stays importable from here; the gate itself lives in core
-from .core import COND_LIMIT, DiscreteSystem, StateSpaceSystem, _gate  # noqa: F401
+from .core import (COND_LIMIT, DiscreteSystem, StateSpaceSystem,  # noqa: F401
+                   _freeze, _gate, _gated_inv)
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -45,14 +46,7 @@ from .errors import (
     SingularShiftedFeedthrough,
     SplitMismatch,
 )
-
-
-def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
-    """Invert M, raising exc_type with the block name if cond > COND_LIMIT."""
-    if M.size == 0:
-        return M.reshape(M.shape[1], M.shape[0]).copy()
-    _gate(M, exc_type, name + " is numerically singular (condition {cond:.3e})")
-    return np.linalg.inv(M)
+from .secondorder import spd_sqrt
 
 
 def _require_even_split(sys: StateSpaceSystem, what: str) -> None:
@@ -147,7 +141,7 @@ def internal_cayley(sys: StateSpaceSystem, sigma: float) -> DiscreteSystem:
     Cd = sqrt(2 sigma) C (sigma - A)^-1,  Dd = G(sigma).
     """
     if not sigma > 0:
-        raise NearSpectrum(f"sigma must be positive, got {sigma}")
+        raise DimensionMismatch(f"sigma must be positive, got {sigma}")
     I = np.eye(sys.n)
     Ad, MB, CM = _moebius(sigma * I - sys.A, sigma * I + sys.A, sys.B, sys.C, NearSpectrum,
                           f"sigma={sigma} is numerically on the spectrum of A")
@@ -199,9 +193,7 @@ class ResistanceMatrix:
                     raise DimensionMismatch(f"{name} must be symmetric")
                 if np.linalg.eigvalsh(M).min() <= 0:
                     raise DimensionMismatch(f"{name} must be positive definite")
-            M = M.copy()
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+            _freeze(self, **{name: M})
 
     @classmethod
     def scalars(cls, r1: float, r2: float | None = None) -> "ResistanceMatrix":
@@ -218,19 +210,24 @@ class ResistanceMatrix:
 
     @property
     def sqrt(self) -> np.ndarray:
-        m1 = self.split[0]
-        out = np.zeros((sum(self.split),) * 2)
-        for sl, blk in ((slice(None, m1), self.R1), (slice(m1, None), self.R2)):
-            if blk.size:
-                w, V = np.linalg.eigh(blk)
-                out[sl, sl] = V @ np.diag(np.sqrt(w)) @ V.T
-        return out
+        return scipy.linalg.block_diag(spd_sqrt(self.R1), spd_sqrt(self.R2))
 
 
-def _check_resistance(sys: StateSpaceSystem, R: ResistanceMatrix) -> None:
+def _external(sys: StateSpaceSystem, R: ResistanceMatrix, shifted, sign: float,
+              exc_type, block: str, feedthrough) -> StateSpaceSystem:
+    """Both external Cayley directions: X = shifted(D)^-1 behind the gate on
+    ``block``, then (A + sign B X C, sqrt(2) B X Rh, sqrt(2) Rh X C,
+    feedthrough(X, Rh)) with Rh = R^1/2.  The split is checked first, because
+    ``shifted`` may add R.matrix to D, which would broadcast a 1x1 R."""
     if R.split != sys.split:
         raise DimensionMismatch(
             f"resistance split {R.split} does not match system split {sys.split}")
+    X = _gated_inv(shifted(sys.D), exc_type, block)
+    Rh = R.sqrt
+    B = np.sqrt(2.0) * sys.B @ X @ Rh
+    C = np.sqrt(2.0) * Rh @ X @ sys.C
+    return StateSpaceSystem(sys.A + sign * (sys.B @ X @ sys.C), B, C, feedthrough(X, Rh),
+                            split=sys.split)
 
 
 def external_cayley(sys_i: StateSpaceSystem, R: ResistanceMatrix) -> StateSpaceSystem:
@@ -240,26 +237,15 @@ def external_cayley(sys_i: StateSpaceSystem, R: ResistanceMatrix) -> StateSpaceS
     C = sqrt(2) R^1/2 (D_i + R)^-1 C_i,    D = I - 2 R^1/2 (D_i + R)^-1 R^1/2.
     Exists for every impedance passive system and invertible R > 0.
     """
-    _check_resistance(sys_i, R)
-    X = _gated_inv(sys_i.D + R.matrix, SingularShiftedFeedthrough, "D_i + R")
-    Rh = R.sqrt
-    A = sys_i.A - sys_i.B @ X @ sys_i.C
-    B = np.sqrt(2.0) * sys_i.B @ X @ Rh
-    C = np.sqrt(2.0) * Rh @ X @ sys_i.C
-    D = np.eye(sys_i.m) - 2.0 * Rh @ X @ Rh
-    return StateSpaceSystem(A, B, C, D, split=sys_i.split)
+    return _external(sys_i, R, lambda D: D + R.matrix, -1.0,
+                     SingularShiftedFeedthrough, "D_i + R",
+                     lambda X, Rh: np.eye(sys_i.m) - 2.0 * Rh @ X @ Rh)
 
 
 def inverse_external_cayley(sys: StateSpaceSystem, R: ResistanceMatrix) -> StateSpaceSystem:
     """Scattering system -> impedance system; needs I - D invertible."""
-    _check_resistance(sys, R)
-    X = _gated_inv(np.eye(sys.m) - sys.D, OneEigenvalue, "I - D")
-    Rh = R.sqrt
-    A = sys.A + sys.B @ X @ sys.C
-    B = np.sqrt(2.0) * sys.B @ X @ Rh
-    C = np.sqrt(2.0) * Rh @ X @ sys.C
-    D = Rh @ X @ (np.eye(sys.m) + sys.D) @ Rh
-    return StateSpaceSystem(A, B, C, D, split=sys.split)
+    return _external(sys, R, lambda D: np.eye(sys.m) - D, 1.0, OneEigenvalue, "I - D",
+                     lambda X, Rh: Rh @ X @ (np.eye(sys.m) + sys.D) @ Rh)
 
 
 def hybrid_transform(sys_i: StateSpaceSystem) -> StateSpaceSystem:

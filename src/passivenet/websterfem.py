@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .core import StateSpaceSystem
+from .core import StateSpaceSystem, _freeze
 from .errors import BadGeometry, MonotonicityError, OutOfElement, ParseError
 from .secondorder import SecondOrderSystem, first_order_realization
 
@@ -48,10 +49,7 @@ class AreaFunction:
             raise MonotonicityError("area nodes must be strictly increasing")
         if np.any(areas <= 0) or not np.all(np.isfinite(areas)):
             raise BadGeometry("areas must be positive and finite")
-        for name, arr in (("nodes", nodes), ("areas", areas)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, nodes=nodes, areas=areas)
 
     @property
     def length(self) -> float:
@@ -173,8 +171,7 @@ def load_area_csv(path_or_file) -> AreaFunction:
     if hasattr(path_or_file, "read"):
         lines = path_or_file.read().splitlines()
     else:
-        with open(path_or_file, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = Path(path_or_file).read_text(encoding="utf-8").splitlines()
     nodes, areas = [], []
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
@@ -209,5 +206,4 @@ def save_area_csv(path_or_file, area: AreaFunction) -> None:
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(path_or_file).write_text(text, encoding="utf-8")

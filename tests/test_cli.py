@@ -2,20 +2,29 @@
 directories with manifests, and rerun determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import passivenet
 from passivenet.core import system_from_json, system_to_json, transfer_function
 from passivenet.cli import main
 from passivenet.pipelines import pi_circuit_system, pi_scattering_system
 
+# the child interpreter imports the same passivenet as this one, also when
+# pytest put src/ on sys.path without it being installed
+_PACKAGE_ROOT = str(Path(passivenet.__file__).resolve().parents[1])
+
 
 def run_cli(args, stdin_text=None):
+    path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "passivenet.cli", *args],
-                          input=stdin_text, capture_output=True, text=True)
+                          input=stdin_text, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     return proc
 
 
@@ -63,6 +72,33 @@ class TestCheck:
         assert proc.returncode == 0
         proc = run_cli(["check", path, "--kind", "scattering"])
         assert proc.returncode == 0
+
+
+def _pole_at(tmp_path, sigma):
+    from passivenet.core import StateSpaceSystem
+    sys_obj = StateSpaceSystem(np.array([[sigma]]), np.ones((1, 1)), np.ones((1, 1)),
+                               np.zeros((1, 1)), split=(1, 0))
+    return write_system(tmp_path / "pole.json", sys_obj)
+
+
+class TestGateExitCodes:
+    """Every GateError exits 3; a non-positive sigma is a usage error (1)."""
+
+    @pytest.mark.parametrize("args", [["transform", "--op", "cayley"],
+                                      ["check", "--kind", "scattering"]])
+    def test_eigenvalue_at_sigma_exit_three(self, tmp_path, args):
+        path = _pole_at(tmp_path, 88200.0)
+        proc = run_cli([args[0], path, *args[1:], "--sigma", "88200"])
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:") and "spectrum of A" in proc.stderr
+
+    @pytest.mark.parametrize("args", [["transform", "--op", "cayley"],
+                                      ["check", "--kind", "scattering"]])
+    def test_non_positive_sigma_exit_one(self, tmp_path, args):
+        path = _pole_at(tmp_path, -1.0)
+        proc = run_cli([args[0], path, *args[1:], "--sigma", "0"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "sigma must be positive" in proc.stderr
 
 
 class TestTransform:
@@ -174,6 +210,23 @@ class TestPipelinesCli:
         for name in ("resonances.csv", "response.csv", "timeseries.csv",
                      "composite.json", "scheme.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("butterworth", {"foo": 1}, "unknown config key"),
+        ("waveguide", {"n": 24, "bogus": True}, "unknown config key"),
+        ("waveguide", {"area": {"nodes": [0, 0.17]}}, "'nodes' and 'areas'"),
+        ("waveguide", {"area": [0, 0.17]}, "'nodes' and 'areas'"),
+        ("butterworth", [1e-9], "JSON object"),
+    ])
+    def test_bad_config_is_a_usage_error(self, tmp_path, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        proc = run_cli([command, str(cfg), "--out", str(out)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_main_entrypoint_callable(self, pi_json, capsys):
         code = main(["check", pi_json, "--kind", "impedance"])

@@ -180,6 +180,19 @@ class TestIoEquivalence:
         assert io_equivalent(mk(3.0), mk(3.0))
         assert not io_equivalent(mk(3.0), mk(4.0))
 
+    def test_one_spectrum_per_operand(self, rng, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        p, q = random_system(rng, 4, 1, 1), random_system(rng, 3, 1, 1)
+        io_equivalent(p, q)
+        assert calls == [(4, 4), (3, 3)]
+
 
 class TestImmutability:
     def test_matrices_are_read_only(self, rng):

@@ -11,8 +11,9 @@ dwarfs any roundoff.
 import numpy as np
 import pytest
 
-from passivenet.core import DiscreteSystem, StateSpaceSystem
+from passivenet.core import DiscreteSystem, StateSpaceSystem, similarity
 from passivenet.errors import (
+    GateError,
     MinusOneEigenvalue,
     NearSpectrum,
     NotWellPosed,
@@ -142,6 +143,11 @@ def pencil(cond):
     reduce_order(interp, 2)
 
 
+def similarity_t(cond):
+    similarity(StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                                np.zeros((1, 1)), split=(1, 0)), _graded(cond))
+
+
 def stiffness(cond):
     # the gate measures K^1/2, whose condition is the square root of K's
     K = np.diag([1.0, 1.0 / cond**2])
@@ -166,6 +172,7 @@ SITES = [
     (loop, BLOCK_LIMIT, NotWellPosed, "Delta1"),
     (pencil, PENCIL_LIMIT, RankDeficient, "Loewner pencil"),
     (stiffness, STIFFNESS_LIMIT, SingularStiffness, "invertible K"),
+    (similarity_t, BLOCK_LIMIT, SingularBlock, r"^T is"),
 ]
 
 
@@ -178,3 +185,8 @@ def test_half_limit_passes(site, limit, exc, block):
 def test_twice_limit_raises_and_names_block(site, limit, exc, block):
     with pytest.raises(exc, match=block):
         site(2.0 * limit)
+
+
+@pytest.mark.parametrize("exc", sorted({s[2] for s in SITES}, key=lambda e: e.__name__))
+def test_every_gate_exception_is_a_gate_error(exc):
+    assert issubclass(exc, GateError)

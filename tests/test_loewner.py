@@ -9,12 +9,14 @@ from oracles import bessel_j1_quadrature, struve_h1_quadrature
 from passivenet.errors import (
     CoincidentPoints,
     DimensionMismatch,
+    NearSpectrum,
     OutOfEnvelope,
     PairingViolation,
     RankDeficient,
     ZeroFrequency,
 )
 from passivenet.loewner import (
+    DescriptorInterpolant,
     InterpolationScheme,
     PistonParams,
     bessel_j1,
@@ -173,6 +175,16 @@ class TestRealify:
         vm[1] = vm[1] + 0.1j  # breaks conjugate symmetry
         with pytest.raises(PairingViolation):
             realify(loewner_matrices(sch, vm, vl))
+
+
+class TestDescriptorTransfer:
+    def test_exactly_singular_pencil_is_near_spectrum(self):
+        # sL - M = diag(0, -1) at s = 1
+        interp = DescriptorInterpolant(np.eye(2), np.diag([1.0, 2.0]), np.ones(2),
+                                       np.ones(2), is_real=True)
+        with pytest.raises(NearSpectrum, match="singular"):
+            interp.transfer(1.0)
+        assert interp.transfer(3.0) == pytest.approx(-(1.0 / 2.0 + 1.0 / 1.0))
 
 
 class TestReduceOrder:

@@ -169,6 +169,16 @@ class TestInternalCayley:
         assert np.array_equal(phi.Ad, np.eye(2))
         assert np.array_equal(phi.Dd, np.array([[3.0]]))
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_non_positive_sigma_is_a_usage_error(self, sigma):
+        # like DiscreteSystem, not a gate (NearSpectrum) firing
+        from passivenet.errors import DimensionMismatch
+        from passivenet.passivity import scattering_passive_via_cayley
+        sys = pi_circuit_system(2.2e-9, 3.4e-9, 14e-6)
+        for fn in (internal_cayley, scattering_passive_via_cayley):
+            with pytest.raises(DimensionMismatch, match="sigma must be positive"):
+                fn(sys, sigma)
+
     def test_moebius_correspondence(self, rng):
         # discrete transfer at z equals continuous transfer at sigma (1-z)/(1+z)
         sys = random_system(rng, 4, 1, 1)
