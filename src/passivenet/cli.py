@@ -147,17 +147,41 @@ def cmd_star(args) -> int:
     return 0
 
 
-def _run_pipeline(args, config_type, extra_keys: tuple[str, ...], compute) -> int:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# value kind -> (test, name in the error message); a float field takes ints
+# too, and null means "not given" for the optional string and list keys
+_VALUE_KINDS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    list: (lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
+           "a list of numbers or null"),
+}
+
+
+def _run_pipeline(args, config_type, extra_keys: dict[str, type], compute) -> int:
     """Parse ``args.config`` (a JSON object over the fields of ``config_type``
-    and ``extra_keys``; empty means {}), run ``compute(config) -> (seed,
-    {file name: text})`` and write the files, then manifest.json, to ``args.out``."""
+    and ``extra_keys``, each {name: value kind}; empty means {}), run
+    ``compute(config) -> (seed, {file name: text})`` and write the files,
+    then manifest.json, to ``args.out``.  A numeric field must hold a value
+    of its default's type; fields without a scalar default (the waveguide's
+    inline ``area``) are checked by ``compute``."""
     text = _read_text(args.config)
     config = json.loads(text) if text.strip() else {}
     if not isinstance(config, dict):
         raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
-    unknown = set(config) - {f.name for f in fields(config_type)} - set(extra_keys)
+    kinds = {f.name: type(f.default) for f in fields(config_type)}
+    unknown = set(config) - set(kinds) - set(extra_keys)
     if unknown:
         raise ParseError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    kinds.update(extra_keys)
+    for key, value in config.items():
+        test, name = _VALUE_KINDS.get(kinds[key], (None, None))
+        if test is not None and not test(value):
+            raise ParseError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
     t0 = time.monotonic()
     seed, files = compute(config)
     outdir = Path(args.out)
@@ -187,7 +211,8 @@ def cmd_butterworth(args) -> int:
             **{f"{name}.json": _json_text(system_to_json(getattr(model, name)))
                for name in ("regularized", "impedance", "minimal")}}
 
-    return _run_pipeline(args, pipelines.ButterworthConfig, ("seed", "grid_hz"), compute)
+    return _run_pipeline(args, pipelines.ButterworthConfig, {"seed": int, "grid_hz": list},
+                         compute)
 
 
 def cmd_waveguide(args) -> int:
@@ -215,7 +240,7 @@ def cmd_waveguide(args) -> int:
             "composite.json": _json_text(system_to_json(comp.composite_impedance)),
             "scheme.json": _json_text(comp.scheme.to_json())}
 
-    return _run_pipeline(args, pipelines.WaveguideConfig, ("area_csv",), compute)
+    return _run_pipeline(args, pipelines.WaveguideConfig, {"area_csv": str}, compute)
 
 
 def build_parser() -> argparse.ArgumentParser:

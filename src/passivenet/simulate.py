@@ -7,8 +7,9 @@ transform; for conservative systems the per-step impedance balance
 
 holds as an identity and can be recorded alongside the outputs.
 
-Frequency sweeps evaluate G(2 pi i f) pointwise; points that land on the
-spectrum are flagged rather than fatal.
+Frequency sweeps evaluate G(2 pi i f) through one resolvent plan (A is
+factored once per sweep); points that land on the spectrum are flagged
+rather than fatal.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import DiscreteSystem, StateSpaceSystem, transfer_function
-from .errors import DimensionMismatch, NearSpectrum, NonPositive
+from .core import DiscreteSystem, StateSpaceSystem, _ResolventPlan
+from .errors import DimensionMismatch, NonPositive
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +100,9 @@ class ExcitationSpec:
             raise DimensionMismatch("sample_rate, duration and f0 must be positive")
         if not all(0.0 < v < 1.0 for v in self.lf_shape):
             raise DimensionMismatch("LF shape parameters must lie in (0, 1)")
+        if self.f1 is not None and not (math.isfinite(self.f1) and self.f1 > self.f0):
+            raise DimensionMismatch(f"sweep end f1={self.f1} must be finite and exceed "
+                                    f"f0={self.f0}")
 
     @property
     def n_samples(self) -> int:
@@ -138,6 +141,10 @@ class _LFWaveform:
 
 
 def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
+    # imported here: scipy.optimize is a large share of the CLI's cold start
+    # and serves only these two root finds
+    from scipy.optimize import brentq
+
     oq, am, qa = shape
     T0 = 1.0 / f0
     Te = oq * T0
@@ -186,14 +193,16 @@ def lf_pulse_train(spec: ExcitationSpec) -> np.ndarray:
 
 
 def _sweep_end(spec: ExcitationSpec) -> float:
-    return spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
+    """f1, or 0.45 * sample_rate by default; a sweep must rise."""
+    f1 = spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
+    if f1 <= spec.f0:
+        raise DimensionMismatch(f"sweep end {f1} must exceed start {spec.f0}")
+    return f1
 
 
 def log_sweep(spec: ExcitationSpec) -> np.ndarray:
     """Constant-amplitude logarithmic sweep from f0 to f1."""
     f1 = _sweep_end(spec)
-    if f1 <= spec.f0:
-        raise DimensionMismatch(f"sweep end {f1} must exceed start {spec.f0}")
     t = np.arange(spec.n_samples) / spec.sample_rate
     T = spec.duration
     r = math.log(f1 / spec.f0)
@@ -270,14 +279,8 @@ class FrequencyResponse:
 def frequency_response(sys: StateSpaceSystem, frequencies_hz) -> FrequencyResponse:
     """Evaluate the transfer function along the imaginary axis."""
     freqs = np.asarray(frequencies_hz, dtype=float).reshape(-1)
-    values = np.empty((freqs.size, sys.m, sys.m), dtype=complex)
-    ok = np.ones(freqs.size, dtype=bool)
-    for i in range(freqs.size):
-        try:
-            values[i] = transfer_function(sys, 2j * np.pi * freqs[i])
-        except NearSpectrum:
-            values[i] = np.nan
-            ok[i] = False
+    values, ok, _, _ = _ResolventPlan(sys.A, sys.B, sys.C, sys.D).evaluate(
+        2j * np.pi * freqs)
     return FrequencyResponse(freqs, values, ok)
 
 

@@ -20,6 +20,14 @@ def transfer_dense(sys, s: complex) -> np.ndarray:
     return sys.D + sys.C @ np.linalg.inv(s * np.eye(sys.n) - sys.A) @ sys.B
 
 
+def transfer_equilibrated(A, B, C, D, s: complex) -> np.ndarray:
+    """D + C (sI - A)^-1 B by a dense solve of the row-equilibrated system,
+    which keeps stiff (badly row-scaled) matrices accurate."""
+    M = s * np.eye(A.shape[0]) - A
+    r = np.abs(M).max(axis=1)
+    return D + C @ np.linalg.solve(M / r[:, None], B / r[:, None])
+
+
 def bessel_j1_quadrature(z: complex) -> complex:
     """J1 via (1/pi) integral_0^pi cos(theta - z sin theta) d theta."""
     z = complex(z)

@@ -20,12 +20,14 @@ from passivenet.pipelines import pi_circuit_system, pi_scattering_system
 _PACKAGE_ROOT = str(Path(passivenet.__file__).resolve().parents[1])
 
 
-def run_cli(args, stdin_text=None):
+def _cli_env() -> dict:
     path = os.pathsep.join(filter(None, [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "passivenet.cli", *args],
-                          input=stdin_text, capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    return proc
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli(args, stdin_text=None):
+    return subprocess.run([sys.executable, "-m", "passivenet.cli", *args],
+                          input=stdin_text, capture_output=True, text=True, env=_cli_env())
 
 
 def write_system(path, sys_obj):
@@ -217,6 +219,14 @@ class TestPipelinesCli:
         ("waveguide", {"area": {"nodes": [0, 0.17]}}, "'nodes' and 'areas'"),
         ("waveguide", {"area": [0, 0.17]}, "'nodes' and 'areas'"),
         ("butterworth", [1e-9], "JSON object"),
+        ("waveguide", {"n": "abc"}, "'n' must be an integer"),
+        ("waveguide", {"n": 24.0}, "'n' must be an integer"),
+        ("waveguide", {"sigma": None}, "'sigma' must be a number"),
+        ("waveguide", {"area_csv": 3}, "'area_csv' must be a string"),
+        ("butterworth", {"c1": "2.2e-9"}, "'c1' must be a number"),
+        ("butterworth", {"epsilon": True}, "'epsilon' must be a number"),
+        ("butterworth", {"seed": "x"}, "'seed' must be an integer"),
+        ("butterworth", {"grid_hz": [1e5, "1e6"]}, "'grid_hz' must be a list of numbers"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, command, config, message):
         cfg = tmp_path / "cfg.json"
@@ -227,6 +237,15 @@ class TestPipelinesCli:
         assert proc.stderr.startswith("error:") and message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize serves one LF root find; loading it at import time
+        # was a large share of every command's cold start
+        code = "import sys, passivenet.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_main_entrypoint_callable(self, pi_json, capsys):
         code = main(["check", pi_json, "--kind", "impedance"])

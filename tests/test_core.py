@@ -5,14 +5,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_system
-from oracles import transfer_dense
+from oracles import transfer_dense, transfer_equilibrated
 
 from passivenet.core import (
     DiscreteSystem,
     StateSpaceSystem,
     cascade_product,
+    discrete_transfer_function,
     io_equivalent,
     minimality,
     parallel_sum,
@@ -24,6 +27,8 @@ from passivenet.core import (
 )
 from passivenet.errors import DimensionMismatch, NearSpectrum
 from passivenet.pipelines import pi_circuit_system
+from passivenet.simulate import frequency_response
+from passivenet.transforms import internal_cayley
 
 
 def five_points(rng):
@@ -57,6 +62,59 @@ class TestTransferFunction:
                                np.zeros((1, 1)), split=(1, 0))
         with pytest.raises(NearSpectrum):
             transfer_function(sys, 1.0 + 1e-15)
+
+
+class TestResolventPlan:
+    """Sweeps and single points against a row-equilibrated dense solve."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 3),
+           stiff=st.booleans())
+    def test_matches_equilibrated_solve(self, seed, n, m, stiff):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        # stable with abscissa -0.5: the imaginary axis stays clear of the spectrum
+        A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+        if stiff:
+            # one decoupled mode 1e11 times faster than the rest
+            A[0, :], A[:, 0] = 0.0, 0.0
+            A[0, 0] = -1e11 * max(1.0, np.abs(A).max())
+        B, C = rng.standard_normal((n, m)), rng.standard_normal((m, n))
+        D = rng.standard_normal((m, m))
+        sys = StateSpaceSystem(A, B, C, D, split=(m, 0))
+        freqs = np.geomspace(1e-3, 1e2, 40)
+        resp = frequency_response(sys, freqs)
+        assert resp.ok.all()
+        points = list(2j * np.pi * freqs) + list(1.5 * five_points(rng))
+        got = list(resp.values) + [transfer_function(sys, s) for s in points[40:]]
+        for s, G in zip(points, got):
+            want = transfer_equilibrated(A, B, C, D, s)
+            assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestDiscreteTransfer:
+    def test_origin_is_the_feedthrough(self, rng):
+        phi = internal_cayley(random_system(rng, 4, 1, 1), 2.0)
+        for z in (0.0, 1e-320):
+            assert np.array_equal(discrete_transfer_function(phi, z), phi.Dd.astype(complex))
+
+    def test_cayley_pair_matches_dense_formula(self, rng):
+        sys = random_system(rng, 6, 1, 1)
+        sys = sys.replace(A=sys.A - 4.0 * np.eye(6))
+        phi = internal_cayley(sys, 3.0)
+        for z in 0.9 * five_points(rng) / 3.0:
+            got = discrete_transfer_function(phi, z)
+            X = np.linalg.solve(np.eye(6) - z * phi.Ad, phi.Bd)
+            want = phi.Dd + z * (phi.Cd @ X)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            Gc = transfer_dense(sys, 3.0 * (1 - z) / (1 + z))
+            assert np.abs(got - Gc).max() <= 1e-9 * np.abs(Gc).max()
+
+    def test_singular_point_rejected(self):
+        phi = DiscreteSystem(np.diag([0.5, 2.0]), np.ones((2, 1)), np.ones((1, 2)),
+                             np.zeros((1, 1)), sigma=1.0, split=(1, 0))
+        with pytest.raises(NearSpectrum, match="I - z Ad"):
+            discrete_transfer_function(phi, 0.5)
 
 
 class TestAlgebra:

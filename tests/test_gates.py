@@ -11,7 +11,7 @@ dwarfs any roundoff.
 import numpy as np
 import pytest
 
-from passivenet.core import DiscreteSystem, StateSpaceSystem, similarity
+from passivenet.core import DiscreteSystem, StateSpaceSystem, similarity, transfer_function
 from passivenet.errors import (
     GateError,
     MinusOneEigenvalue,
@@ -47,6 +47,7 @@ from passivenet.transforms import (
 BLOCK_LIMIT = 1e12      # transforms, Cayley steps, feedback loop
 PENCIL_LIMIT = 1e18     # loewner.reduce_order default
 STIFFNESS_LIMIT = 1e6   # secondorder general path
+RESOLVENT_LIMIT = 1e12  # 1 / core.RCOND_FLOOR: transfer evaluation
 
 
 def _graded(cond: float) -> np.ndarray:
@@ -148,6 +149,12 @@ def similarity_t(cond):
                                 np.zeros((1, 1)), split=(1, 0)), _graded(cond))
 
 
+def resolvent(cond):
+    # sI - A = diag(1, 1, 1/cond) at s = 0: sigma_min over the median row max is 1/cond
+    transfer_function(StateSpaceSystem(-np.diag([1.0, 1.0, 1.0 / cond]), np.ones((3, 1)),
+                                       np.ones((1, 3)), np.zeros((1, 1)), split=(1, 0)), 0.0)
+
+
 def stiffness(cond):
     # the gate measures K^1/2, whose condition is the square root of K's
     K = np.diag([1.0, 1.0 / cond**2])
@@ -173,6 +180,7 @@ SITES = [
     (pencil, PENCIL_LIMIT, RankDeficient, "Loewner pencil"),
     (stiffness, STIFFNESS_LIMIT, SingularStiffness, "invertible K"),
     (similarity_t, BLOCK_LIMIT, SingularBlock, r"^T is"),
+    (resolvent, RESOLVENT_LIMIT, NearSpectrum, "spectrum of A"),
 ]
 
 

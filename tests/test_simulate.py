@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from passivenet.core import DiscreteSystem, StateSpaceSystem, transfer_function
-from passivenet.errors import NonPositive
+from passivenet.errors import DimensionMismatch, NonPositive
 from passivenet.simulate import (
     ExcitationSpec,
     FrequencyResponse,
@@ -90,6 +90,19 @@ class TestExcitations:
         f = sweep_instant_frequency(spec, np.array([0.0, 1.0]))
         assert f[0] == pytest.approx(50.0)
         assert f[1] == pytest.approx(2000.0)
+
+    @pytest.mark.parametrize("f1", [50.0, 100.0, 0.0, -10.0, float("nan"), float("inf")])
+    def test_sweep_end_must_be_finite_and_exceed_start(self, f1):
+        with pytest.raises(DimensionMismatch, match="f1="):
+            ExcitationSpec("LogSweep", f0=100.0, duration=1.0, sample_rate=8000.0, f1=f1)
+
+    def test_default_sweep_end_below_start_rejected_by_both(self):
+        # f0 above the default end 0.45 * sample_rate: no falling sweep anywhere
+        spec = ExcitationSpec("LogSweep", f0=500.0, duration=1.0, sample_rate=1000.0)
+        with pytest.raises(DimensionMismatch, match="must exceed start"):
+            log_sweep(spec)
+        with pytest.raises(DimensionMismatch, match="must exceed start"):
+            sweep_instant_frequency(spec, np.array([0.0, 1.0]))
 
     def test_impulse_and_dispatcher(self):
         spec = ExcitationSpec("Impulse", f0=1.0, duration=0.01, sample_rate=1000.0)
@@ -180,6 +193,37 @@ class TestFrequencyResponseFlags:
         assert resp.ok[0] and resp.ok[2]
         assert not resp.ok[1]
         assert np.isnan(resp.values[1]).all()
+
+    @pytest.mark.parametrize("on_spectrum_hz, input_scale",
+                             [(100.0, [1.0, 1.0]), (0.0, [1.0, 1.0]), (0.0, [1e300, 1e-14])],
+                             ids=["oscillator", "zero", "zero-graded-input"])
+    def test_on_spectrum_point_leaves_the_others_unchanged(self, rng, on_spectrum_hz,
+                                                           input_scale):
+        # block upper-triangular A with an exact eigenvalue at 2 pi i f
+        # (+-i 2 pi 100 from an undamped oscillator, or 0 on the diagonal)
+        # beside damped modes; the gated point shares a chunk of the sweep
+        # with 40 others, whose values must not notice it.  With a 1e300
+        # input column the gated point's solve would overflow, so the
+        # chunk's triangular solve is rescaled as a whole, pushing the
+        # other points' 1e-14 column into underflow for one round.
+        n = 9
+        A = np.triu(rng.standard_normal((n, n)), 1)
+        A[np.arange(2, n), np.arange(2, n)] = -rng.uniform(1.0, 1e3, n - 2)
+        if on_spectrum_hz:
+            w = 2 * np.pi * on_spectrum_hz
+            A[:2, :2] = [[0.0, w], [-w, 0.0]]
+        else:
+            A[:2, :2] = [[0.0, 1.0], [0.0, -5.0]]
+        sys = StateSpaceSystem(A, rng.standard_normal((n, 2)) * input_scale,
+                               rng.standard_normal((2, n)), np.zeros((2, 2)), split=(1, 1))
+        others = np.geomspace(1.0, 1e4, 40)
+        grid = np.insert(others, 20, on_spectrum_hz)
+        with_point, without = frequency_response(sys, grid), frequency_response(sys, others)
+        assert not with_point.ok[20] and without.ok.all()
+        keep = np.delete(np.arange(grid.size), 20)
+        assert np.array_equal(with_point.ok[keep], without.ok)
+        got, want = with_point.values[keep], without.values
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all()
 
 
 class TestEpsilonContinuity:
