@@ -11,6 +11,7 @@ never by an explicit inverse.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +194,19 @@ def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
 #: faster on a 6-state one.
 _PLAN_CHUNK = 32
 
+#: ztrsyl replaces a pivot T_kk - s smaller than its floor
+#: eps * max(max|T|, max|s|) by the floor itself, and the pivots T_kk stand
+#: for the eigenvalues only to within about that floor.  A point is left
+#: to the Schur solve only when every pivot clears the floor by this
+#: factor ...
+_FLOOR_MARGIN = 16.0
+
+#: ... and the refined solution's componentwise backward error
+#: max_i |B - (sI - A) X|_i / (|B| + |sI - A| |X|)_i is at most this.
+#: Converged refinement reaches a few eps (about 1e-15 on the 412-state
+#: waveguide and on the stiff Butterworth product).
+_BERR_LIMIT = 1e-13
+
 
 class _ResolventPlan:
     """D + C (sI - A)^-1 B at many points from one factorisation of A.
@@ -206,6 +220,11 @@ class _ResolventPlan:
     original A: an orthogonal reduction spreads an error of eps |A| into
     every mode, which for a stiff A (an eigenvalue at -3e17 beside modes
     near 1e6, which balancing leaves alone) swamps the slow ones.
+
+    Where that is not enough, because a point lies within a few eps |A| of
+    a slow eigenvalue (or within ztrsyl's pivot floor), the point is solved
+    again by an LU of the row- and column-equilibrated sI - A, with the
+    same probes and refinement; see _FLOOR_MARGIN and _BERR_LIMIT.
 
     Each point is gated: sigma_min(sI - A), estimated by two fixed
     inverse-power probes, must reach RCOND_FLOOR times the median row max
@@ -226,10 +245,12 @@ class _ResolventPlan:
         # real Schur form made complex: the same factorisation as a complex
         # Schur decomposition, at about half its cost
         self._T, self._Z = scipy.linalg.rsf2csf(*scipy.linalg.schur(Ab))
+        self._pivots = np.diag(self._T).copy()
+        self._tmax = np.abs(self._T).max()
         self._diag = np.diag(A).copy()
-        offdiag = np.abs(A)
-        np.fill_diagonal(offdiag, 0.0)
-        self._offdiag_rowmax = offdiag.max(axis=1)
+        self._offdiag = np.abs(A)
+        np.fill_diagonal(self._offdiag, 0.0)
+        self._offdiag_rowmax = self._offdiag.max(axis=1)
         probe_rng = np.random.default_rng(0x5EED)
         probes = []
         for _ in range(2):
@@ -248,13 +269,31 @@ class _ResolventPlan:
         X = self._Z @ (X / shrink)
         return (self._scale[:, None] * X)[self._unperm]
 
+    def _dense_solver(self, s: complex):
+        """A solve at the one point s by an LU of the row- and
+        column-equilibrated sI - A: no pivot floor, and a stiff row is
+        scaled away instead of spread into the slow modes."""
+        M = s * np.eye(self.A.shape[0]) - self.A
+        r = np.abs(M).max(axis=1)
+        Mr = M / r[:, None]
+        c = np.abs(Mr).max(axis=0)
+        c[c == 0.0] = 1.0
+        with warnings.catch_warnings():
+            # an exactly singular sI - A is gated, not an error
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(Mr / c, check_finite=False)
+        return lambda shifts, Y: scipy.linalg.lu_solve(lu, Y / r[:, None],
+                                                       check_finite=False) / c[:, None]
+
     def _residual(self, shifts: np.ndarray, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Y - (sI - A) X column by column, with A kept real."""
         AX = self.A @ X.real + 1j * (self.A @ X.imag)
         return Y - (shifts * X - AX)
 
-    def _chunk(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and sigma_min estimates at the points s, all clear of a zero row."""
+    def _chunk(self, s: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values, sigma_min estimates and componentwise backward errors at
+        the points s, all clear of a zero row; ``solve(shifts, Y)`` applies
+        (shifts[j] I - A)^-1 to the columns of Y."""
         n, m = self.B.shape
         k = s.size
         rhs = np.tile(self.B, (1, k))
@@ -264,23 +303,38 @@ class _ResolventPlan:
         # first refinement and the probes' inverse-power steps; round 3 the
         # second refinement.  A point whose solve is not finite is zeroed
         # out of later rounds: ztrsyl's sums over the chunk would spread it.
-        sol = self._solve(both, np.hstack([rhs, np.tile(self._probes, (1, k))]))
+        sol = solve(both, np.hstack([rhs, np.tile(self._probes, (1, k))]))
         X, probes = sol[:, :k * m], sol[:, k * m:]
         norm1 = np.linalg.norm(probes, axis=0)
         finite = (np.isfinite(X).reshape(n, k, m).all(axis=(0, 2))
                   & np.isfinite(norm1).reshape(k, 2).all(axis=1))
         keep, keep_probe = np.repeat(finite, m), np.repeat(finite, 2)
         residual = np.where(keep, self._residual(shifts, rhs, X), 0.0)
-        sol = self._solve(both, np.hstack([residual,
-                                           np.where(keep_probe, probes / norm1, 0.0)]))
+        sol = solve(both, np.hstack([residual, np.where(keep_probe, probes / norm1, 0.0)]))
         X = X + sol[:, :k * m]
         norm2 = np.linalg.norm(sol[:, k * m:], axis=0)
         residual = np.where(keep, self._residual(shifts, rhs, X), 0.0)
-        X = X + self._solve(shifts, residual)
+        X = X + solve(shifts, residual)
         inv_norm = np.maximum(norm1, norm2).reshape(k, 2).max(axis=1)
         sigma = np.where(finite, 1.0 / inv_norm, 0.0)
+        bound = (np.abs(rhs) + self._offdiag @ np.abs(X)
+                 + np.abs(shifts - self._diag[:, None]) * np.abs(X))
+        residual = np.abs(self._residual(shifts, rhs, X))
+        berr = np.divide(residual, bound, out=np.zeros_like(bound), where=bound > 0)
+        berr = np.where(keep, berr.max(axis=0), np.inf).reshape(k, m).max(axis=1)
         values = self.D + (self.C @ X).reshape(m, k, m).transpose(1, 0, 2)
-        return values, sigma
+        return values, sigma, berr
+
+    def _trusted(self, s: np.ndarray, berr: np.ndarray) -> np.ndarray:
+        """Which Schur-solved points of one chunk need no dense solve."""
+        eps = np.finfo(float).eps
+        cols = s.size * (self.B.shape[1] + 2)
+        # ztrsyl's pivot floor for this chunk (SMIN in its source)
+        floor = max(np.finfo(float).tiny * self.A.shape[0] * cols / eps,
+                    eps * max(self._tmax, np.abs(s).max()))
+        gap = self._pivots[:, None] - s
+        pivot = (np.abs(gap.real) + np.abs(gap.imag)).min(axis=0)
+        return (pivot > _FLOOR_MARGIN * floor) & (berr <= _BERR_LIMIT)
 
     def evaluate(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(values, ok, sigma_min estimate, row scale) at each point; values
@@ -292,16 +346,20 @@ class _ResolventPlan:
         if self.A.shape[0] == 0:
             values[:] = self.D
             return values, np.ones(s.size, dtype=bool), np.full(s.size, np.inf), scale
+        # the pivot floor grows with a chunk's largest |s|: chunk by magnitude
+        order = np.argsort(np.abs(s), kind="stable")
         with np.errstate(all="ignore"):
             for lo in range(0, s.size, _PLAN_CHUNK):
-                part = s[lo:lo + _PLAN_CHUNK]
+                part = order[lo:lo + _PLAN_CHUNK]
                 rows = np.maximum(self._offdiag_rowmax[:, None],
-                                  np.abs(part - self._diag[:, None]))
-                scale[lo:lo + part.size] = np.median(rows, axis=0)
-                live = lo + np.flatnonzero((rows.min(axis=0) > 0)
-                                           & np.isfinite(rows).all(axis=0))
-                if live.size:
-                    values[live], sigma[live] = self._chunk(s[live])
+                                  np.abs(s[part] - self._diag[:, None]))
+                scale[part] = np.median(rows, axis=0)
+                live = part[(rows.min(axis=0) > 0) & np.isfinite(rows).all(axis=0)]
+                if not live.size:
+                    continue
+                values[live], sigma[live], berr = self._chunk(s[live], self._solve)
+                for p in live[~self._trusted(s[live], berr)]:
+                    values[[p]], sigma[[p]], _ = self._chunk(s[[p]], self._dense_solver(s[p]))
             ok = np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
         values[~ok] = np.nan
         return values, ok, sigma, scale

@@ -67,28 +67,76 @@ class TestTransferFunction:
 class TestResolventPlan:
     """Sweeps and single points against a row-equilibrated dense solve."""
 
-    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(1, 3),
-           stiff=st.booleans())
-    def test_matches_equilibrated_solve(self, seed, n, m, stiff):
+           stiffness=st.sampled_from([0.0, 1e11, 1e16, 1e17]), coupled=st.booleans())
+    def test_matches_equilibrated_solve(self, seed, n, m, stiffness, coupled):
         rng = np.random.default_rng(seed)
-        A = rng.standard_normal((n, n))
+        if stiffness:
+            # below two slow rows the median row scale is the stiff row's,
+            # and the gate rightly rejects every point
+            n = max(n, 3)
+        k = n - 1 if stiffness else n
+        S = rng.standard_normal((k, k))
         # stable with abscissa -0.5: the imaginary axis stays clear of the spectrum
-        A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
-        if stiff:
-            # one decoupled mode 1e11 times faster than the rest
-            A[0, :], A[:, 0] = 0.0, 0.0
-            A[0, 0] = -1e11 * max(1.0, np.abs(A).max())
+        S -= (np.linalg.eigvals(S).real.max(initial=0.0) + 0.5) * np.eye(k)
+        slow = np.linalg.eigvals(S)
+        A = S
+        if stiffness:
+            # one mode `stiffness` times faster than the rest, coupled to them
+            # or not; at 1e16-1e17, eps |A| reaches the slow modes' distances
+            fast = -stiffness * max(1.0, np.abs(S).max(initial=0.0))
+            scale = 1.0 if coupled else 0.0
+            A = np.block([[np.full((1, 1), fast), scale * rng.standard_normal((1, k))],
+                          [scale * rng.standard_normal((k, 1)), S]])
         B, C = rng.standard_normal((n, m)), rng.standard_normal((m, n))
         D = rng.standard_normal((m, m))
         sys = StateSpaceSystem(A, B, C, D, split=(m, 0))
         freqs = np.geomspace(1e-3, 1e2, 40)
         resp = frequency_response(sys, freqs)
         assert resp.ok.all()
-        points = list(2j * np.pi * freqs) + list(1.5 * five_points(rng))
+        # off-axis points, and points 0.2-2 from the slow modes
+        near = slow[:3] + rng.uniform(0.2, 2.0, slow[:3].size) * np.exp(
+            1j * rng.uniform(0.0, 2 * np.pi, slow[:3].size))
+        points = list(2j * np.pi * freqs) + list(1.5 * five_points(rng)) + list(near)
         got = list(resp.values) + [transfer_function(sys, s) for s in points[40:]]
         for s, G in zip(points, got):
             want = transfer_equilibrated(A, B, C, D, s)
+            assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
+
+    # a mode at -1e17 beside the coupled slow pair [[-1.5, .5], [.5, -1.5]]
+    # (eigenvalues -1 and -2): eps |A| ~ 22 is more than every slow pivot
+    # |T_kk - s| at these points, so ztrsyl would replace those pivots by it
+    STIFF_A = np.array([[-1e17, 0.0, 0.0], [0.0, -1.5, 0.5], [0.0, 0.5, -1.5]])
+
+    @pytest.mark.parametrize("s", [0.0, -1.5, 0.5j, -1.0 + 1e-6, -3.0 + 0.1j])
+    def test_stiff_point_within_the_pivot_floor(self, s):
+        B, C, D = np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1))
+        sys = StateSpaceSystem(self.STIFF_A, B, C, D, split=(1, 0))
+        want = transfer_equilibrated(self.STIFF_A, B, C, D, s)
+        assert np.abs(transfer_function(sys, s) - want).max() <= 1e-10 * np.abs(want).max()
+
+    # with the slow pair unexcited the solution is exact either way, and
+    # only the pivots tell that the gate's probes went through a floored solve
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    def test_stiff_point_on_a_slow_pole_rejected(self, b):
+        sys = StateSpaceSystem(self.STIFF_A, np.array(b).reshape(3, 1), np.ones((1, 3)),
+                               np.zeros((1, 1)), split=(1, 0))
+        for s in (-1.0, -2.0):
+            with pytest.raises(NearSpectrum):
+                transfer_function(sys, s)
+
+    def test_large_point_leaves_its_chunk_mates_exact(self):
+        # a point at 1e17 Hz raises ztrsyl's pivot floor (eps max |s|) for
+        # every point solved beside it above the slow pivots
+        A, B = self.STIFF_A[1:, 1:], np.array([[1.0], [2.0]])
+        C, D = np.array([[1.0, -1.0]]), np.zeros((1, 1))
+        sys = StateSpaceSystem(A, B, C, D, split=(1, 0))
+        freqs = np.array([0.05, 0.2, 1e17, 0.3])
+        resp = frequency_response(sys, freqs)
+        assert resp.ok.all()
+        for f, G in zip(freqs, resp.values):
+            want = transfer_equilibrated(A, B, C, D, 2j * np.pi * f)
             assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
 
 

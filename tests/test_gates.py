@@ -155,6 +155,15 @@ def resolvent(cond):
                                        np.ones((1, 3)), np.zeros((1, 1)), split=(1, 0)), 0.0)
 
 
+def stiff_resolvent(cond):
+    # a decoupled -1e17 beside the slow pair [[-1.5, .5], [.5, -1.5]]
+    # (eigenvalues -1, -2) at s = -1 + delta: sigma_min(sI - A) = delta
+    # against the median row max 0.5 + delta, so the measure is 1/cond
+    A = np.array([[-1e17, 0.0, 0.0], [0.0, -1.5, 0.5], [0.0, 0.5, -1.5]])
+    transfer_function(StateSpaceSystem(A, np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1)),
+                                       split=(1, 0)), -1.0 + 0.5 / (cond - 1.0))
+
+
 def stiffness(cond):
     # the gate measures K^1/2, whose condition is the square root of K's
     K = np.diag([1.0, 1.0 / cond**2])
@@ -181,6 +190,7 @@ SITES = [
     (stiffness, STIFFNESS_LIMIT, SingularStiffness, "invertible K"),
     (similarity_t, BLOCK_LIMIT, SingularBlock, r"^T is"),
     (resolvent, RESOLVENT_LIMIT, NearSpectrum, "spectrum of A"),
+    (stiff_resolvent, RESOLVENT_LIMIT, NearSpectrum, "spectrum of A"),
 ]
 
 

@@ -142,6 +142,17 @@ class TestSParams:
             assert abs(s21 - abcd_to_s21(T, CFG.r0)) <= 1e-6 * abs(s21)
             assert abs(abs(s11) - abs(abcd_to_s11(T, CFG.r0))) <= 1e-6
 
+    def test_tiny_epsilon_matches_abcd_oracle(self):
+        # at epsilon = 1e-12 the fast mode sits at -2.9e20, and two refinement
+        # steps of the Schur solve leave a backward error near 1e-9; the
+        # regularisation error itself is ~2e-13, so each point must be exact
+        cfg = ButterworthConfig(epsilon=1e-12)
+        sp = butterworth_sparams(cfg, np.geomspace(1e4, 1e7, 40))
+        for f, s11, s21 in zip(sp.frequencies, sp.s11, sp.s21):
+            T = ladder5_abcd(2j * np.pi * f, cfg.c1, cfg.l1, cfg.c3)
+            assert abs(s21 - abcd_to_s21(T, cfg.r0)) <= 1e-11 * abs(s21)
+            assert abs(abs(s11) - abs(abcd_to_s11(T, cfg.r0))) <= 1e-11
+
     def test_transmission_at_one_megahertz_regression(self):
         # with these standard-series component values the half-power corner
         # sits at 931 kHz, so 1 MHz reads -4.91 dB (not the nominal -3 dB)
