@@ -115,6 +115,12 @@ class StateSpaceSystem:
         data.update(kw)
         return StateSpaceSystem(**data)
 
+    def transfer_values(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(G at each point, ok) through one resolvent plan; the values are
+        NaN where the plan's gate flags the point (see ``_ResolventPlan``)."""
+        values, ok, _, _ = _ResolventPlan(self.A, self.B, self.C, self.D).evaluate(points)
+        return values, ok
+
 
 @dataclass(frozen=True)
 class DiscreteSystem:

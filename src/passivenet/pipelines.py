@@ -27,6 +27,14 @@ of dimension 4n + k.  The interpolation points include a high-frequency
 anchor track along the imaginary axis covering the tube's full spectral
 band; without it the order-k load model is unconstrained above the sampling
 square and its junk modes can destabilise the otherwise lossless tube.
+
+The report's frequency sweep does not evaluate that (4n + k)-state
+composite: ``WaveguideComposite.transfer_values`` couples the components
+pointwise instead.  The load is evaluated once per sweep through its own
+k-state resolvent plan, and the tube, closed at the mouth by the
+regularised admittance 1/(Z_L + eps), is one banded FEM solve per point.
+This is the frequency-domain form of the regularised star product, and it
+never inverts the lossless tube on its own.
 """
 
 from __future__ import annotations
@@ -318,6 +326,26 @@ class WaveguideComposite:
     mouth_row: np.ndarray
     epsilon: float
 
+    def transfer_values(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The composite impedance's values at ``points``, from the components.
+
+        Z_in(s) = rho s w_glottis(s), where w solves the tube's banded pencil
+        closed at the mouth by Y(s) = 1/(Z_L(s) + eps) (see
+        ``WaveguideModel.terminated_impedance``).  ``ok`` is False where the
+        load's resolvent gate or the band gate fires, or where Z_L + eps is
+        zero or not finite; the values are NaN there.
+        """
+        s = np.asarray(points, dtype=complex).reshape(-1)
+        z_load, ok = self.load.transfer_values(s)
+        with np.errstate(all="ignore"):
+            series = z_load[:, 0, 0] + self.epsilon
+            ok &= np.isfinite(series) & (series != 0.0)
+            admittance = np.where(ok, 1.0 / series, 0.0)
+            values, solved = self.tube.terminated_impedance(s, admittance)
+        ok &= solved
+        values[~ok] = np.nan
+        return values.reshape(-1, 1, 1), ok
+
 
 def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
     """FEM tube + Loewner piston load -> one-port impedance and its Cayley form.
@@ -371,6 +399,9 @@ def waveguide_report(composite: WaveguideComposite,
                      response_grid_hz=None) -> WaveguideReport:
     """Run the standard diagnostics on a composed waveguide.
 
+    The resonances come from the composite's generator; the frequency
+    response is one ``simulate.frequency_response`` of the composite, which
+    evaluates it from its components (``WaveguideComposite.transfer_values``).
     The time series drives the discrete system with the excitation as the
     glottal flow; the folds pressure is the port output and the mouth
     pressure is read from the state through the tube's second output row
@@ -384,7 +415,7 @@ def waveguide_report(composite: WaveguideComposite,
     if response_grid_hz is None:
         response_grid_hz = np.geomspace(30.0, 10000.0, 300)
     res = simulate.resonances(sys)
-    resp = simulate.frequency_response(sys, response_grid_hz)
+    resp = simulate.frequency_response(composite, response_grid_hz)
     flow = simulate.excitation_signal(excitation)
     u = flow.reshape(-1, 1)
     y, _, states = simulate.step_response(composite.discrete, u, record_energy=True)

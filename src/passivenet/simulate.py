@@ -7,9 +7,11 @@ transform; for conservative systems the per-step impedance balance
 
 holds as an identity and can be recorded alongside the outputs.
 
-Frequency sweeps evaluate G(2 pi i f) through one resolvent plan (A is
-factored once per sweep); points that land on the spectrum are flagged
-rather than fatal.
+Frequency sweeps evaluate G(2 pi i f) through the swept object's own
+``transfer_values``: a StateSpaceSystem factors A once per sweep (one
+resolvent plan), and a composed waveguide solves its terminated banded
+pencil per point.  Points that either gate rejects are flagged rather than
+fatal.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteSystem, StateSpaceSystem, _ResolventPlan
+from .core import DiscreteSystem, StateSpaceSystem
 from .errors import DimensionMismatch, NonPositive
 
 
@@ -276,11 +278,15 @@ class FrequencyResponse:
         return np.abs(self.values[:, row, col])
 
 
-def frequency_response(sys: StateSpaceSystem, frequencies_hz) -> FrequencyResponse:
-    """Evaluate the transfer function along the imaginary axis."""
+def frequency_response(sys, frequencies_hz) -> FrequencyResponse:
+    """Evaluate a transfer function along the imaginary axis.
+
+    ``sys`` is anything with ``transfer_values(points) -> (values, ok)``:
+    a StateSpaceSystem, or a ``pipelines.WaveguideComposite``, which
+    evaluates its input impedance from its components.
+    """
     freqs = np.asarray(frequencies_hz, dtype=float).reshape(-1)
-    values, ok, _, _ = _ResolventPlan(sys.A, sys.B, sys.C, sys.D).evaluate(
-        2j * np.pi * freqs)
+    values, ok = sys.transfer_values(2j * np.pi * freqs)
     return FrequencyResponse(freqs, values, ok)
 
 

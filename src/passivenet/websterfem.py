@@ -10,7 +10,10 @@ first-order state.
 
 DOF numbering: 0..n are nodal values (0 and n are the endpoint functions),
 n+1..2n-1 are the derivative DOFs of interior nodes 1..n-1.  The input
-matrix F selects the endpoint values, i.e. rows 0 and n.
+matrix F selects the endpoint values, i.e. rows 0 and n.  Interleaved by
+node (v0, v1, d1, ..., v_{n-1}, d_{n-1}, v_n) each element couples four
+consecutive DOFs, so M and K have bandwidth 3; the terminated solve works
+in that order, on LAPACK band storage.
 
 The mesh is equidistant.  Geometry arrives as a piecewise-linear area
 function sampled at its own nodes, independent of the FEM subdivision;
@@ -23,9 +26,12 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
+from . import core
 from .core import StateSpaceSystem, _freeze
 from .errors import BadGeometry, MonotonicityError, OutOfElement, ParseError
 from .secondorder import SecondOrderSystem, first_order_realization
@@ -59,9 +65,59 @@ class AreaFunction:
         return np.interp(x, self.nodes, self.areas)
 
 
+#: Sub- and super-diagonals of M and K in the interleaved DOF order.
+BANDWIDTH = 3
+
+
+def _interleaved_order(n: int) -> np.ndarray:
+    """The interleaving permutation v0, v1, d1, ..., v_{n-1}, d_{n-1}, v_n
+    of the 2n DOFs: the glottis value comes first and the mouth value last."""
+    order = np.empty(2 * n, dtype=int)
+    order[0], order[-1] = 0, n
+    order[1:-1:2] = np.arange(1, n)
+    order[2:-1:2] = np.arange(n + 1, 2 * n)
+    return order
+
+
+def _band_storage(A: np.ndarray, k: int) -> np.ndarray:
+    """A with k sub- and super-diagonals in LAPACK gbtrf layout (Fortran
+    order): entry (i, j) at row 2k + i - j of column j, under k rows left
+    for fill-in."""
+    ab = np.zeros((3 * k + 1, A.shape[0]), dtype=A.dtype, order="F")
+    for d in range(-k, k + 1):
+        diag = np.diagonal(A, -d)
+        ab[2 * k + d, max(0, -d):max(0, -d) + diag.size] = diag
+    return ab
+
+
+def _gated_band_solve(ab: np.ndarray, rhs: np.ndarray, k: int) -> Optional[np.ndarray]:
+    """x with A x = rhs for the band-stored A (``_band_storage`` layout, k
+    sub- and super-diagonals; overwritten), or None where the gate fires.
+
+    The gate: zgbtrf must meet no zero pivot, and zgbcon's estimate of the
+    factor's 1-norm reciprocal condition must reach core.RCOND_FLOOR, read
+    at call time.
+    """
+    anorm = np.abs(ab).sum(axis=0).max()
+    if not np.isfinite(anorm):
+        return None
+    lu, piv, info = zgbtrf(ab, k, k, overwrite_ab=True)
+    if info != 0:
+        return None
+    rcond, _ = zgbcon(k, k, lu, piv, anorm)
+    if not rcond >= core.RCOND_FLOOR:
+        return None
+    return zgbtrs(lu, k, k, rhs, piv)[0][:, 0]
+
+
 @dataclass(frozen=True)
 class WaveguideModel:
-    """Assembled FEM waveguide: conservative two-port plus its matrices."""
+    """Assembled FEM waveguide: conservative two-port plus its matrices.
+
+    ``mass`` and ``stiffness`` are in the assembly DOF order;
+    ``mass_band`` and ``stiffness_band`` hold the same matrices permuted by
+    ``band_order`` in LAPACK band storage (``BANDWIDTH`` off-diagonals).
+    """
 
     system: StateSpaceSystem
     mass: np.ndarray
@@ -69,6 +125,33 @@ class WaveguideModel:
     n_elements: int
     c: float
     rho: float
+    band_order: np.ndarray
+    mass_band: np.ndarray
+    stiffness_band: np.ndarray
+
+    def terminated_impedance(self, points,
+                             admittance) -> tuple[np.ndarray, np.ndarray]:
+        """Glottis input impedance with the mouth closed by ``admittance``.
+
+        At each point s (one admittance Y(s) per point) this solves the
+        banded pencil (s^2 M + K + rho s Y(s) e_mouth e_mouth^T) w = e_glottis
+        and returns (rho s w_glottis, ok).  The pencil never inverts the
+        lossless tube on its own, so the tube's own resonances are ordinary
+        points.  ``ok`` is the band gate of ``_gated_band_solve``.
+        """
+        s = np.asarray(points, dtype=complex).reshape(-1)
+        Y = np.asarray(admittance, dtype=complex).reshape(-1)
+        glottis = np.zeros((self.mass.shape[0], 1), dtype=complex)
+        glottis[0] = 1.0
+        values = np.full(s.size, np.nan, dtype=complex)
+        ok = np.zeros(s.size, dtype=bool)
+        for p in range(s.size):
+            ab = s[p] * s[p] * self.mass_band + self.stiffness_band
+            ab[2 * BANDWIDTH, -1] += self.rho * s[p] * Y[p]
+            w = _gated_band_solve(ab, glottis, BANDWIDTH)
+            if w is not None:
+                values[p], ok[p] = self.rho * s[p] * w[0], True
+        return values, ok
 
 
 def hermite_basis_eval(element: tuple[float, float], kind: int, x: float) -> tuple[float, float]:
@@ -157,7 +240,9 @@ def assemble(area: AreaFunction, n: int, c: float, rho: float) -> WaveguideModel
     sys0 = first_order_realization(so, method="colocated", split=(1, 1))
     root_rho = np.sqrt(rho)
     system = sys0.replace(B=root_rho * sys0.B, C=root_rho * sys0.C)
-    return WaveguideModel(system, M, K, n, float(c), float(rho))
+    order = _interleaved_order(n)
+    band = [_band_storage(X[np.ix_(order, order)], BANDWIDTH) for X in (M, K)]
+    return WaveguideModel(system, M, K, n, float(c), float(rho), order, *band)
 
 
 # ---------------------------------------------------------------------------

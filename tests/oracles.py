@@ -4,13 +4,17 @@ Everything here deliberately avoids the code paths under test: transfer
 functions by explicit dense inversion, special functions by adaptive
 quadrature of their integral representations, ladder impedances by ABCD
 two-port chains, star products by solving the coupled feedthrough
-equations, second-order transfers by the quadratic pencil.
+equations, second-order transfers by the quadratic pencil, the terminated
+waveguide by a dense (or mpmath) solve of its pencil.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 
 def transfer_dense(sys, s: complex) -> np.ndarray:
@@ -121,3 +125,72 @@ def second_order_transfer(so, s: complex, general: bool) -> np.ndarray:
     if general:
         return (so.Q1 + s * so.Q2) @ X
     return s * so.F.T @ X  # co-located path observes F^T z'
+
+
+# ---------------------------------------------------------------------------
+# terminated waveguide: the tube's pencil closed by the load, in double and
+# in mpmath
+
+
+def terminated_impedance(tube, load, epsilon: float, s: complex) -> complex:
+    """Glottis input impedance of the FEM tube closed at the mouth by the
+    load plus a series ``epsilon``: a dense solve of
+    (s^2 M + K + rho s e_n e_n^T / (Z_L(s) + eps)) w = e_0, Z = rho s w_0,
+    in the assembly DOF order (glottis value 0, mouth value n), with Z_L
+    from ``transfer_dense``."""
+    n = tube.n_elements
+    P = s * s * tube.mass + tube.stiffness + 0j
+    P[n, n] += tube.rho * s / (transfer_dense(load, s)[0, 0] + epsilon)
+    glottis = np.zeros(P.shape[0])
+    glottis[0] = 1.0
+    return complex(tube.rho * s * np.linalg.solve(P, glottis)[0])
+
+
+def _mp_sparse_solve(rows: list, rhs: list) -> list:
+    """Gaussian elimination with partial pivoting on rows given as
+    {column: value} dicts; exact zeros are never stored."""
+    n = len(rows)
+    for k in range(n):
+        p = max((i for i in range(k, n) if k in rows[i]), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p], rhs[k], rhs[p] = rows[p], rows[k], rhs[p], rhs[k]
+        for i in range(k + 1, n):
+            if k not in rows[i]:
+                continue
+            f = rows[i].pop(k) / rows[k][k]
+            for c, v in rows[k].items():
+                if c != k:
+                    rows[i][c] = rows[i].get(c, 0) - f * v
+            rhs[i] -= f * rhs[k]
+    x = [mpmath.mpf(0)] * n
+    for k in reversed(range(n)):
+        acc = rhs[k] - mpmath.fsum(v * x[c] for c, v in rows[k].items() if c > k)
+        x[k] = acc / rows[k][k]
+    return x
+
+
+def terminated_impedance_mp(tube, load, epsilon: float, s: complex,
+                            dps: int = 40) -> complex:
+    """``terminated_impedance`` at ``dps`` digits, taking the double inputs
+    (M, K, the load's quadruple, eps and s) as exact.  The pencil is put in
+    reverse Cuthill-McKee order and eliminated sparsely."""
+    with mpmath.workdps(dps):
+        sm = mpmath.mpc(s.real, s.imag)
+        A = mpmath.matrix(load.A.tolist())
+        x = mpmath.lu_solve(sm * mpmath.eye(load.n) - A, mpmath.matrix(load.B.tolist()))
+        z_load = (mpmath.matrix(load.C.tolist()) * x)[0, 0] + load.D[0, 0] + epsilon
+        n = tube.n_elements
+        pattern = csr_matrix((tube.mass != 0) | (tube.stiffness != 0))
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        where = np.argsort(order)
+        rows = []
+        for i in order:
+            row = {}
+            for j in np.flatnonzero(pattern[i].toarray()):
+                row[int(where[j])] = sm * sm * tube.mass[i, j] + tube.stiffness[i, j]
+            if i == n:
+                row[int(where[n])] += tube.rho * sm / z_load
+            rows.append(row)
+        rhs = [mpmath.mpf(0)] * len(rows)
+        rhs[int(where[0])] = mpmath.mpf(1)
+        w = _mp_sparse_solve(rows, rhs)
+        return complex(tube.rho * sm * w[int(where[0])])

@@ -3,7 +3,8 @@ its limit.
 
 Each site gets a block whose gate measure is a chosen multiple of the
 site's limit.  At 0.5x the operation must succeed; at 2x it must raise the
-site's exception with a message naming the block.  The blocks are diagonal
+site's exception with a message naming the block, or, for a sweep gate
+that flags points instead of raising, flag the point.  The blocks are diagonal
 (or scalar), so the measure is known in closed form and the factor-2 margin
 dwarfs any roundoff.
 """
@@ -43,11 +44,12 @@ from passivenet.transforms import (
     inverse_internal_cayley,
     top_inversion,
 )
+from passivenet.websterfem import _band_storage, _gated_band_solve
 
 BLOCK_LIMIT = 1e12      # transforms, Cayley steps, feedback loop
 PENCIL_LIMIT = 1e18     # loewner.reduce_order default
 STIFFNESS_LIMIT = 1e6   # secondorder general path
-RESOLVENT_LIMIT = 1e12  # 1 / core.RCOND_FLOOR: transfer evaluation
+RESOLVENT_LIMIT = 1e12  # 1 / core.RCOND_FLOOR: transfer evaluation, banded sweep
 
 
 def _graded(cond: float) -> np.ndarray:
@@ -203,6 +205,29 @@ def test_half_limit_passes(site, limit, exc, block):
 def test_twice_limit_raises_and_names_block(site, limit, exc, block):
     with pytest.raises(exc, match=block):
         site(2.0 * limit)
+
+
+def banded(cond):
+    # one band-stored pencil diag(1, 1/cond): zgbcon's 1-norm estimate is
+    # exact for a diagonal, so its reciprocal condition is 1/cond
+    pencil = _band_storage(_graded(cond).astype(complex), 1)
+    return _gated_band_solve(pencil, np.ones((2, 1), dtype=complex), 1) is not None
+
+
+# sweep gates flag the point instead of raising: site(cond) returns its ok flag
+FLAGGING_SITES = [
+    (banded, RESOLVENT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("site, limit", FLAGGING_SITES, ids=[s[0].__name__ for s in FLAGGING_SITES])
+def test_flagging_half_limit_passes(site, limit):
+    assert site(0.5 * limit)
+
+
+@pytest.mark.parametrize("site, limit", FLAGGING_SITES, ids=[s[0].__name__ for s in FLAGGING_SITES])
+def test_flagging_twice_limit_flags(site, limit):
+    assert not site(2.0 * limit)
 
 
 @pytest.mark.parametrize("exc", sorted({s[2] for s in SITES}, key=lambda e: e.__name__))

@@ -62,6 +62,18 @@ class TestImpedanceCertificate:
                                np.zeros((1, 1)), split=(1, 0))
         assert impedance_certificate(sys).verdict == NOT_PASSIVE
 
+    def test_norm_is_the_spectral_norm(self, rng):
+        # the norm is read off the eigenvalues; it must be the 2-norm
+        for _ in range(5):
+            A = rng.standard_normal((6, 6))
+            B = rng.standard_normal((6, 2))
+            sys = StateSpaceSystem(A, B, rng.standard_normal((2, 6)),
+                                   rng.standard_normal((2, 2)), split=(1, 1))
+            M = np.block([[A.T + A, B - sys.C.T], [B.T - sys.C, -sys.D.T - sys.D]])
+            cert = impedance_certificate(sys)
+            assert cert.test_matrix_norm == pytest.approx(
+                np.linalg.norm(0.5 * (M + M.T), 2), rel=1e-13)
+
 
 class TestScatteringConservative:
     def test_pi_scattering_form(self):

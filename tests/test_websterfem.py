@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from passivenet.core import transfer_function
 from passivenet.errors import (
     BadGeometry,
     MonotonicityError,
@@ -15,6 +16,7 @@ from passivenet.errors import (
 )
 from passivenet.passivity import CONSERVATIVE, impedance_certificate
 from passivenet.websterfem import (
+    BANDWIDTH,
     AreaFunction,
     assemble,
     hermite_basis_eval,
@@ -76,6 +78,34 @@ class TestAssembly:
         assert wk.min() > -1e-12 * wk.max()
         # exactly one numerically-zero stiffness eigenvalue (the constants)
         assert np.count_nonzero(wk < 1e-10 * wk.max()) == 1
+
+    def test_band_storage_holds_the_interleaved_matrices(self):
+        model = assemble(uniform(), 6, C_SOUND, RHO)
+        order, k = model.band_order, BANDWIDTH
+        assert order.tolist() == [0, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11, 6]
+        for X, band in ((model.mass, model.mass_band), (model.stiffness, model.stiffness_band)):
+            P = X[np.ix_(order, order)]
+            rows, cols = np.nonzero(P)
+            assert np.abs(rows - cols).max() == k
+            unpacked = np.zeros_like(P)
+            for j in range(P.shape[0]):
+                for i in range(max(0, j - k), min(P.shape[0], j + k + 1)):
+                    unpacked[i, j] = band[2 * k + i - j, j]
+            np.testing.assert_array_equal(unpacked, P)
+            assert not band[:k].any()
+
+    def test_terminated_solve_against_the_two_port(self):
+        # with the mouth closed by Y the input impedance is
+        # Z11 - Z12 Z21 / (Z22 + 1/Y); with Y = 0 it is Z11
+        model = assemble(uniform(), 12, C_SOUND, RHO)
+        s = 2j * np.pi * np.array([150.0, 2100.0, 7300.0])
+        Y = np.array([0.0, 1e-6 + 2e-7j, 3e-7])
+        got, ok = model.terminated_impedance(s, Y)
+        assert ok.all()
+        for p in range(s.size):
+            Z = transfer_function(model.system, s[p])
+            want = Z[0, 0] if Y[p] == 0 else Z[0, 0] - Z[0, 1] * Z[1, 0] / (Z[1, 1] + 1 / Y[p])
+            assert got[p] == pytest.approx(want, rel=1e-10)
 
     def test_state_dimension_and_split(self):
         model = assemble(uniform(), 6, C_SOUND, RHO)
