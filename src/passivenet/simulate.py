@@ -1,7 +1,11 @@
 """Time stepping, excitation signals, resonance lists and frequency sweeps.
 
-Stepping uses the precomputed discrete quadruple of the internal Cayley
-transform; for conservative systems the per-step impedance balance
+Stepping runs the discrete quadruple of the internal Cayley transform in
+blocks: the run is cut into about sqrt(N) blocks of about sqrt(N) steps,
+each block's first state comes from a short scan with Ad^L, and then all
+blocks advance together, one matrix-matrix product per step offset, so the
+dense work is BLAS-3 and Python iterates about 3 sqrt(N) times instead
+of N.  For conservative systems the per-step impedance balance
 
     |x_{j+1}|^2 - |x_j|^2 = 2 <u_j, y_j>
 
@@ -42,6 +46,23 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
     |x_{j+1}|^2 - |x_j|^2 - (|u_j|^2 - |y_j|^2); either is <= 0 for a
     passive system of that type and zero for a conservative one up to
     roundoff.  The recorded return value is (outputs, balance, states).
+
+    The N steps run as nb = ceil(N / L) blocks of L = ceil(sqrt(N)) steps
+    (``_block_starts`` gives each block's first state).  All blocks then take
+    their i-th step together: [x_{j+1}, y_j] = [x_j, u_j] [[Ad', Cd'],
+    [Bd', Dd']] for j = bL + i, one GEMM over the blocks per offset i.  Each
+    balance pairs x_j with that one-step successor, not with the next
+    block's start, so it means the same at block seams as anywhere else.
+    Working memory is nb x n; only the recorded ``states`` are N x n.
+
+    Inside a block the arithmetic is the per-step recursion's; the block
+    starts carry the rounding of Ad^L.  Rescaling the state units leaves
+    that rounding alone, but a strongly non-normal Ad amplifies it: the
+    waveguide composites (|Ad| about 1e3) stay within 4e-12 normwise of a
+    per-step loop, while a 2-state Ad of norm 640 in coordinates of
+    condition 1e3 is off by 3e-8.  L follows from N, so runs whose inputs
+    share a prefix agree on it to the same roundoff (up to 2.2e-11 on the
+    composites), not bit for bit; repeating a call is bit-identical.
     """
     if record_energy is True:
         record_energy = "impedance"
@@ -54,24 +75,62 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
     x = np.zeros(phi.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (phi.n,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({phi.n},)")
-    Y = np.empty((nsteps, phi.m))
+    n, m = phi.n, phi.m
+    Y = np.empty((nsteps, m))
     balance = np.empty(nsteps) if record_energy else None
-    states = np.empty((nsteps, phi.n)) if record_energy else None
-    for j in range(nsteps):
-        u = U[j]
-        y = phi.Cd @ x + phi.Dd @ u
-        x_next = phi.Ad @ x + phi.Bd @ u
-        Y[j] = y
+    states = np.empty((nsteps, n)) if record_energy else None
+    if nsteps:
+        L = math.isqrt(nsteps - 1) + 1
+        # row b of Z is [x_j, u_j] of block b at its current step j = bL + i
+        Z = np.concatenate([_block_starts(phi, U, x, L), U[::L]], axis=1)
+        Zn = np.empty_like(Z)
+        step = np.block([[phi.Ad.T, phi.Cd.T], [phi.Bd.T, phi.Dd.T]])
         if record_energy:
-            states[j] = x
-            gain = x_next @ x_next - x @ x
-            supply = 2.0 * (u @ y) if record_energy == "impedance" \
-                else (u @ u - y @ y)
-            balance[j] = float(gain - supply)
-        x = x_next
+            energy = np.einsum("ij,ij->i", Z[:, :n], Z[:, :n])
+        for i in range(L):
+            k = (nsteps - i + L - 1) // L      # blocks that still have step i
+            z, zn = Z[:k], Zn[:k]
+            np.matmul(z, step, out=zn)         # zn = [x_{j+1}, y_j]
+            u, y = z[:, n:], zn[:, n:]
+            Y[i::L] = y
+            if record_energy:
+                states[i::L] = z[:, :n]
+                energy_next = np.einsum("ij,ij->i", zn[:, :n], zn[:, :n])
+                supply = 2.0 * np.einsum("ij,ij->i", u, y) if record_energy == "impedance" \
+                    else np.einsum("ij,ij->i", u, u) - np.einsum("ij,ij->i", y, y)
+                balance[i::L] = (energy_next - energy[:k]) - supply
+                energy = energy_next
+            if i + 1 < L:
+                u_next = U[i + 1::L]
+                zn[:len(u_next), n:] = u_next
+            Z, Zn = Zn, Z
     if record_energy:
         return Y, balance, states
     return Y
+
+
+def _block_starts(phi: DiscreteSystem, U: np.ndarray, x0: np.ndarray, L: int) -> np.ndarray:
+    """States x_{bL} of every block b, by the scan x_{(b+1)L} = Ad^L x_{bL} + F_b.
+
+    F_b = sum_k Ad^(L-1-k) Bd u_{bL+k} is one GEMM of the blocks' inputs with
+    H = [Ad^(L-1) Bd, ..., Bd] (L - 1 thin products); Ad^L is formed by repeated
+    squaring, and the scan costs one matvec per block.
+    """
+    n, m = phi.n, phi.m
+    nb = -(-U.shape[0] // L)
+    X = np.empty((nb, n))
+    X[0] = x0
+    if nb == 1:
+        return X
+    H = np.empty((L, m, n))                    # H[k] = (Ad^(L-1-k) Bd)'
+    H[-1] = phi.Bd.T
+    for k in range(L - 2, -1, -1):
+        H[k] = H[k + 1] @ phi.Ad.T
+    F = U[:(nb - 1) * L].reshape(nb - 1, L * m) @ H.reshape(L * m, n)
+    Pt = np.linalg.matrix_power(phi.Ad, L).T
+    for b in range(nb - 1):
+        X[b + 1] = X[b] @ Pt + F[b]
+    return X
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ functions by explicit dense inversion, special functions by adaptive
 quadrature of their integral representations, ladder impedances by ABCD
 two-port chains, star products by solving the coupled feedthrough
 equations, second-order transfers by the quadratic pencil, the terminated
-waveguide by a dense (or mpmath) solve of its pencil.
+waveguide by a dense (or mpmath) solve of its pencil, time stepping one
+sample at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+from passivenet.errors import DimensionMismatch
 
 
 def transfer_dense(sys, s: complex) -> np.ndarray:
@@ -194,3 +197,47 @@ def terminated_impedance_mp(tube, load, epsilon: float, s: complex,
         rhs[int(where[0])] = mpmath.mpf(1)
         w = _mp_sparse_solve(rows, rhs)
         return complex(tube.rho * sm * w[int(where[0])])
+
+
+def step_response_loop(phi, inputs: np.ndarray, x0=None, record_energy=False):
+    """Per-sample reference for ``simulate.step_response``: three matvecs per
+    step in Python, no blocking.
+
+    Runs the exact recursion x_{j+1} = Ad x_j + Bd u_j, y_j = Cd x_j + Dd u_j.
+
+    ``inputs`` has one row per step.  ``record_energy`` selects a per-step
+    balance to record: "impedance" (or True) stores the defect
+    |x_{j+1}|^2 - |x_j|^2 - 2 <u_j, y_j>, "scattering" stores
+    |x_{j+1}|^2 - |x_j|^2 - (|u_j|^2 - |y_j|^2); either is <= 0 for a
+    passive system of that type and zero for a conservative one up to
+    roundoff.  The recorded return value is (outputs, balance, states).
+    """
+    if record_energy is True:
+        record_energy = "impedance"
+    if record_energy not in (False, "impedance", "scattering"):
+        raise DimensionMismatch(f"unknown energy mode {record_energy!r}")
+    U = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if U.shape[1] != phi.m:
+        raise DimensionMismatch(f"inputs have width {U.shape[1]}, system has m={phi.m}")
+    nsteps = U.shape[0]
+    x = np.zeros(phi.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (phi.n,):
+        raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({phi.n},)")
+    Y = np.empty((nsteps, phi.m))
+    balance = np.empty(nsteps) if record_energy else None
+    states = np.empty((nsteps, phi.n)) if record_energy else None
+    for j in range(nsteps):
+        u = U[j]
+        y = phi.Cd @ x + phi.Dd @ u
+        x_next = phi.Ad @ x + phi.Bd @ u
+        Y[j] = y
+        if record_energy:
+            states[j] = x
+            gain = x_next @ x_next - x @ x
+            supply = 2.0 * (u @ y) if record_energy == "impedance" \
+                else (u @ u - y @ y)
+            balance[j] = float(gain - supply)
+        x = x_next
+    if record_energy:
+        return Y, balance, states
+    return Y

@@ -39,7 +39,9 @@ from passivenet.pipelines import (
     waveguide_report,
     _rotated_product,
 )
-from passivenet.simulate import ExcitationSpec, frequency_response, resonances
+from passivenet.simulate import ExcitationSpec, frequency_response, resonances, step_response
+from passivenet.transforms import internal_cayley
+from conftest import STEP_PARITY, normwise, stepping_gaps
 
 CFG = ButterworthConfig()  # 2.2 nF / 3.4 nF / 14 uH / 50 ohm / 1 nohm
 
@@ -428,3 +430,40 @@ class TestTerminatedOracle:
             err = np.abs(frequency_response(sys, points).values[:, 0, 0] - want) / np.abs(want)
             assert err[:3].max() <= MP_RTOL[name], name
             assert err[3] <= MP_RTOL_NEAR_ZERO, name
+
+
+class TestStepping:
+    """Block stepping of both applications' discrete systems against the
+    per-sample loop in ``oracles``."""
+
+    @staticmethod
+    def _lf_input(phi, duration=0.1):
+        spec = ExcitationSpec("LFPulseTrain", f0=120.0, duration=duration,
+                              sample_rate=phi.sigma / 2.0)
+        return simulate.excitation_signal(spec).reshape(-1, 1)
+
+    def test_composite_matches_loop(self, full_composite):
+        # largest gap measured: 4.0e-12 (states), 9.3e-13 (mouth pressure)
+        phi = full_composite.discrete
+        gaps = stepping_gaps(phi, self._lf_input(phi), probe=full_composite.mouth_row)
+        assert max(gaps.values()) <= STEP_PARITY, gaps
+
+    def test_composite_prefix_drift(self, full_composite):
+        # 4410 steps run in blocks of 67, their first 4000 in blocks of 64,
+        # so the shared prefix agrees to roundoff only: up to 1.6e-11 measured
+        phi = full_composite.discrete
+        u = self._lf_input(phi)
+        Y, _, states = step_response(phi, u, record_energy=True)
+        Yp, _, prefix = step_response(phi, u[:4000], record_energy=True)
+        assert normwise(Yp, Y[:4000]) <= STEP_PARITY
+        assert normwise(prefix, states[:4000]) <= STEP_PARITY
+
+    @pytest.mark.parametrize("form", ["regularized", "regularized_rotated", "impedance",
+                                      "minimal"])
+    def test_butterworth_discrete_forms_match_loop(self, form, rng):
+        # `regularized` carries the -2.9e17 mode; largest gap measured 1.8e-14
+        phi = internal_cayley(getattr(butterworth_compose(CFG), form), 2.0 * np.pi * 1e6)
+        for mode in ("impedance", "scattering"):
+            gaps = stepping_gaps(phi, rng.standard_normal((2000, phi.m)),
+                                 x0=rng.standard_normal(phi.n), record_energy=mode)
+            assert max(gaps.values()) <= STEP_PARITY, (mode, gaps)
