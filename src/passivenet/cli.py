@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -148,7 +149,10 @@ def cmd_star(args) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json.loads also reads NaN and Infinity, which no config field can take
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # value kind -> (test, name in the error message); a float field takes ints

@@ -138,8 +138,8 @@ class DiscreteSystem:
     split: tuple[int, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (float(self.sigma) > 0.0):
-            raise DimensionMismatch(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < float(self.sigma) < np.inf:
+            raise DimensionMismatch(f"sigma must be positive and finite, got {self.sigma}")
         object.__setattr__(self, "sigma", float(self.sigma))
         _freeze_quadruple(self, ("Ad", "Bd", "Cd", "Dd"))
 
@@ -194,17 +194,16 @@ def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
     return np.linalg.inv(M)
 
 
-#: Points per triangular Sylvester solve of a resolvent plan.  ztrsyl's
-#: work and its diag(s) operand grow with the square of the column count,
-#: so sweeps go in chunks; 32 was as fast as 64 on a 412-state sweep and
-#: faster on a 6-state one.
-_PLAN_CHUNK = 32
+#: Points per round of a resolvent plan: it only bounds the working set,
+#: as no point's solve depends on its chunk-mates.  Of 32 to 512, 128 was
+#: about the fastest on the 412-state composite and the 6-state
+#: Butterworth product (2-vCPU host, OpenBLAS).
+_PLAN_CHUNK = 128
 
-#: ztrsyl replaces a pivot T_kk - s smaller than its floor
-#: eps * max(max|T|, max|s|) by the floor itself, and the pivots T_kk stand
-#: for the eigenvalues only to within about that floor.  A point is left
-#: to the Schur solve only when every pivot clears the floor by this
-#: factor ...
+#: The Schur pivots T_kk stand for the eigenvalues of A only to within
+#: about eps * max|T|, so a pivot T_kk - s that small says nothing of the
+#: distance from s to the spectrum.  A point is left to the Schur solve
+#: only when every pivot clears eps * max|T| by this factor ...
 _FLOOR_MARGIN = 16.0
 
 #: ... and the refined solution's componentwise backward error
@@ -219,18 +218,20 @@ class _ResolventPlan:
 
     A is balanced, A = Tm Ab Tm^-1 with Tm a scaled permutation, and Ab is
     reduced once to complex Schur form Z T Z^H, so that
-    (sI - A)^-1 = Tm Z (sI - T)^-1 Z^H Tm^-1.  The triangular solves of a
-    chunk of points are one LAPACK call (ztrsyl: T X - X diag(s) = -Y), so
-    a point costs O(n^2) and forms no n x n matrix.  Each solution gets two
-    steps of iterative refinement with the residual taken against the
-    original A: an orthogonal reduction spreads an error of eps |A| into
-    every mode, which for a stiff A (an eigenvalue at -3e17 beside modes
-    near 1e6, which balancing leaves alone) swamps the slow ones.
+    (sI - A)^-1 = Tm Z (sI - T)^-1 Z^H Tm^-1.  The triangular solves are
+    one back-substitution over the rows of T for all points at once
+    (Laub, IEEE TAC 26(2), 1981), each column with its own pivots s - T_kk,
+    so a point costs O(n^2), forms no n x n matrix and shares no scale with
+    the others.  Each solution gets two steps of iterative refinement with
+    the residual taken against the original A: an orthogonal reduction
+    spreads an error of eps |A| into every mode, which for a stiff A (an
+    eigenvalue at -3e17 beside modes near 1e6, which balancing leaves
+    alone) swamps the slow ones.
 
     Where that is not enough, because a point lies within a few eps |A| of
-    a slow eigenvalue (or within ztrsyl's pivot floor), the point is solved
-    again by an LU of the row- and column-equilibrated sI - A, with the
-    same probes and refinement; see _FLOOR_MARGIN and _BERR_LIMIT.
+    a slow eigenvalue, the point is solved again by an LU of the row- and
+    column-equilibrated sI - A, with the same probes and refinement; see
+    _FLOOR_MARGIN and _BERR_LIMIT.
 
     Each point is gated: sigma_min(sI - A), estimated by two fixed
     inverse-power probes, must reach RCOND_FLOOR times the median row max
@@ -252,7 +253,7 @@ class _ResolventPlan:
         # Schur decomposition, at about half its cost
         self._T, self._Z = scipy.linalg.rsf2csf(*scipy.linalg.schur(Ab))
         self._pivots = np.diag(self._T).copy()
-        self._tmax = np.abs(self._T).max()
+        self._pivot_floor = _FLOOR_MARGIN * np.finfo(float).eps * np.abs(self._T).max()
         self._diag = np.diag(A).copy()
         self._offdiag = np.abs(A)
         np.fill_diagonal(self._offdiag, 0.0)
@@ -266,18 +267,16 @@ class _ResolventPlan:
 
     def _solve(self, shifts: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Column j of the result is (shifts[j] I - A)^-1 Y[:, j]."""
-        W = (self._Z.T @ (Y[self._perm] / self._scale[:, None]).conj()).conj()
-        # diag(s) is its own transpose; .T hands LAPACK Fortran order uncopied.
-        # shrink < 1 keeps a near-singular column from overflowing; it
-        # applies to the whole chunk, and the refinement restores any digits
-        # the other columns lose to it.
-        X, shrink, _ = scipy.linalg.lapack.ztrsyl(self._T, np.diag(shifts).T, -W, isgn=-1)
-        X = self._Z @ (X / shrink)
-        return (self._scale[:, None] * X)[self._unperm]
+        X = (self._Z.T @ (Y[self._perm] / self._scale[:, None]).conj()).conj()
+        T = self._T
+        for i in range(T.shape[0] - 1, -1, -1):
+            X[i] += T[i, i + 1:] @ X[i + 1:]
+            X[i] /= shifts - T[i, i]
+        return (self._scale[:, None] * (self._Z @ X))[self._unperm]
 
     def _dense_solver(self, s: complex):
         """A solve at the one point s by an LU of the row- and
-        column-equilibrated sI - A: no pivot floor, and a stiff row is
+        column-equilibrated sI - A: no Schur pivots, and a stiff row is
         scaled away instead of spread into the slow modes."""
         M = s * np.eye(self.A.shape[0]) - self.A
         r = np.abs(M).max(axis=1)
@@ -297,50 +296,34 @@ class _ResolventPlan:
         return Y - (shifts * X - AX)
 
     def _chunk(self, s: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, sigma_min estimates and componentwise backward errors at
-        the points s, all clear of a zero row; ``solve(shifts, Y)`` applies
-        (shifts[j] I - A)^-1 to the columns of Y."""
-        n, m = self.B.shape
+        """Values, sigma_min estimates and whether the componentwise
+        backward error is at most _BERR_LIMIT, at the points s, all clear
+        of a zero row; ``solve(shifts, Y)`` applies (shifts[j] I - A)^-1 to
+        the columns of Y.  A point whose solve is not finite gets sigma 0
+        and fails the backward-error test."""
+        m = self.B.shape[1]
         k = s.size
         rhs = np.tile(self.B, (1, k))
         shifts = np.repeat(s, m)
         both = np.concatenate([shifts, np.repeat(s, 2)])
         # round 1 solves the right-hand sides and both probes; round 2 the
         # first refinement and the probes' inverse-power steps; round 3 the
-        # second refinement.  A point whose solve is not finite is zeroed
-        # out of later rounds: ztrsyl's sums over the chunk would spread it.
+        # second refinement
         sol = solve(both, np.hstack([rhs, np.tile(self._probes, (1, k))]))
         X, probes = sol[:, :k * m], sol[:, k * m:]
         norm1 = np.linalg.norm(probes, axis=0)
-        finite = (np.isfinite(X).reshape(n, k, m).all(axis=(0, 2))
-                  & np.isfinite(norm1).reshape(k, 2).all(axis=1))
-        keep, keep_probe = np.repeat(finite, m), np.repeat(finite, 2)
-        residual = np.where(keep, self._residual(shifts, rhs, X), 0.0)
-        sol = solve(both, np.hstack([residual, np.where(keep_probe, probes / norm1, 0.0)]))
+        sol = solve(both, np.hstack([self._residual(shifts, rhs, X), probes / norm1]))
         X = X + sol[:, :k * m]
         norm2 = np.linalg.norm(sol[:, k * m:], axis=0)
-        residual = np.where(keep, self._residual(shifts, rhs, X), 0.0)
-        X = X + solve(shifts, residual)
+        X = X + solve(shifts, self._residual(shifts, rhs, X))
         inv_norm = np.maximum(norm1, norm2).reshape(k, 2).max(axis=1)
-        sigma = np.where(finite, 1.0 / inv_norm, 0.0)
+        sigma = np.where(np.isnan(inv_norm), 0.0, 1.0 / inv_norm)
         bound = (np.abs(rhs) + self._offdiag @ np.abs(X)
                  + np.abs(shifts - self._diag[:, None]) * np.abs(X))
-        residual = np.abs(self._residual(shifts, rhs, X))
-        berr = np.divide(residual, bound, out=np.zeros_like(bound), where=bound > 0)
-        berr = np.where(keep, berr.max(axis=0), np.inf).reshape(k, m).max(axis=1)
+        # NaN compares False, so a non-finite solution never converges
+        converged = np.abs(self._residual(shifts, rhs, X)) <= _BERR_LIMIT * bound
         values = self.D + (self.C @ X).reshape(m, k, m).transpose(1, 0, 2)
-        return values, sigma, berr
-
-    def _trusted(self, s: np.ndarray, berr: np.ndarray) -> np.ndarray:
-        """Which Schur-solved points of one chunk need no dense solve."""
-        eps = np.finfo(float).eps
-        cols = s.size * (self.B.shape[1] + 2)
-        # ztrsyl's pivot floor for this chunk (SMIN in its source)
-        floor = max(np.finfo(float).tiny * self.A.shape[0] * cols / eps,
-                    eps * max(self._tmax, np.abs(s).max()))
-        gap = self._pivots[:, None] - s
-        pivot = (np.abs(gap.real) + np.abs(gap.imag)).min(axis=0)
-        return (pivot > _FLOOR_MARGIN * floor) & (berr <= _BERR_LIMIT)
+        return values, sigma, converged.all(axis=0).reshape(k, m).all(axis=1)
 
     def evaluate(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(values, ok, sigma_min estimate, row scale) at each point; values
@@ -352,19 +335,18 @@ class _ResolventPlan:
         if self.A.shape[0] == 0:
             values[:] = self.D
             return values, np.ones(s.size, dtype=bool), np.full(s.size, np.inf), scale
-        # the pivot floor grows with a chunk's largest |s|: chunk by magnitude
-        order = np.argsort(np.abs(s), kind="stable")
         with np.errstate(all="ignore"):
             for lo in range(0, s.size, _PLAN_CHUNK):
-                part = order[lo:lo + _PLAN_CHUNK]
+                part = np.arange(lo, min(lo + _PLAN_CHUNK, s.size))
                 rows = np.maximum(self._offdiag_rowmax[:, None],
                                   np.abs(s[part] - self._diag[:, None]))
                 scale[part] = np.median(rows, axis=0)
                 live = part[(rows.min(axis=0) > 0) & np.isfinite(rows).all(axis=0)]
                 if not live.size:
                     continue
-                values[live], sigma[live], berr = self._chunk(s[live], self._solve)
-                for p in live[~self._trusted(s[live], berr)]:
+                values[live], sigma[live], converged = self._chunk(s[live], self._solve)
+                pivot = np.abs(self._pivots[:, None] - s[live]).min(axis=0)
+                for p in live[(pivot <= self._pivot_floor) | ~converged]:
                     values[[p]], sigma[[p]], _ = self._chunk(s[[p]], self._dense_solver(s[p]))
             ok = np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
         values[~ok] = np.nan

@@ -34,7 +34,7 @@ import scipy.linalg
 
 # COND_LIMIT stays importable from here; the gate itself lives in core
 from .core import (COND_LIMIT, DiscreteSystem, StateSpaceSystem,  # noqa: F401
-                   _freeze, _gate, _gated_inv)
+                   _as_matrix, _freeze, _gate, _gated_inv)
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -135,13 +135,13 @@ def _moebius(M: np.ndarray, N: np.ndarray, B: np.ndarray, C: np.ndarray,
 
 
 def internal_cayley(sys: StateSpaceSystem, sigma: float) -> DiscreteSystem:
-    """Internal Cayley transform (Crank-Nicolson) with parameter sigma > 0.
+    """Internal Cayley transform (Crank-Nicolson) with finite parameter sigma > 0.
 
     Ad = (sigma + A)(sigma - A)^-1,  Bd = sqrt(2 sigma) (sigma - A)^-1 B,
     Cd = sqrt(2 sigma) C (sigma - A)^-1,  Dd = G(sigma).
     """
-    if not sigma > 0:
-        raise DimensionMismatch(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise DimensionMismatch(f"sigma must be positive and finite, got {sigma}")
     I = np.eye(sys.n)
     Ad, MB, CM = _moebius(sigma * I - sys.A, sigma * I + sys.A, sys.B, sys.C, NearSpectrum,
                           f"sigma={sigma} is numerically on the spectrum of A")
@@ -184,8 +184,7 @@ class ResistanceMatrix:
     def __post_init__(self):
         for name in ("R1", "R2"):
             M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            if M.size == 0:
-                M = M.reshape(0, 0)
+            M = _as_matrix(name, M.reshape(0, 0) if M.size == 0 else M)
             if M.shape[0] != M.shape[1]:
                 raise DimensionMismatch(f"{name} must be square, got {M.shape}")
             if M.size:

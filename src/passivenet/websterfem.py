@@ -51,6 +51,8 @@ class AreaFunction:
             raise BadGeometry("need at least two (node, area) samples of equal count")
         if nodes[0] != 0.0:
             raise BadGeometry(f"first node must be 0, got {nodes[0]}")
+        if not np.all(np.isfinite(nodes)):
+            raise BadGeometry("area nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise MonotonicityError("area nodes must be strictly increasing")
         if np.any(areas <= 0) or not np.all(np.isfinite(areas)):

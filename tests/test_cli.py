@@ -120,6 +120,16 @@ class TestTransform:
             b = transfer_function(back, s)
             assert np.abs(a - b).max() <= 1e-10 * (1 + np.abs(a).max())
 
+    @pytest.mark.parametrize("op, args, message", [
+        ("extcayley", ["--R1", "nan"], "R1 contains non-finite"),
+        ("iextcayley", ["--R1", "1", "--R2", "inf"], "R2 contains non-finite"),
+        ("cayley", ["--sigma", "inf"], "sigma must be positive and finite"),
+    ])
+    def test_non_finite_parameter_exit_one(self, pi_json, op, args, message):
+        proc = run_cli(["transform", pi_json, "--op", op, *args])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and message in proc.stderr
+
     def test_extcayley_matches_closed_form(self, pi_json):
         proc = run_cli(["transform", pi_json, "--op", "extcayley",
                         "--R1", "50", "--R2", "50", "--epsilon", "1e-3"])
@@ -227,6 +237,13 @@ class TestPipelinesCli:
         ("butterworth", {"epsilon": True}, "'epsilon' must be a number"),
         ("butterworth", {"seed": "x"}, "'seed' must be an integer"),
         ("butterworth", {"grid_hz": [1e5, "1e6"]}, "'grid_hz' must be a list of numbers"),
+        # json.loads reads NaN and Infinity; the pipelines must not
+        ("butterworth", {"grid_hz": [1e5, float("nan"), 2e5]}, "'grid_hz' must be a list of"),
+        ("butterworth", {"c1": float("-inf")}, "'c1' must be a number"),
+        ("waveguide", {"c": float("nan")}, "'c' must be a number"),
+        ("waveguide", {"square": float("inf")}, "'square' must be a number"),
+        ("waveguide", {"area": {"nodes": [0, float("nan"), 0.17], "areas": [1e-4] * 3}},
+         "area nodes must be finite"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, command, config, message):
         cfg = tmp_path / "cfg.json"

@@ -26,7 +26,7 @@ from passivenet.core import (
     transfer_function,
 )
 from passivenet.errors import DimensionMismatch, NearSpectrum
-from passivenet.pipelines import pi_circuit_system
+from passivenet.pipelines import ButterworthConfig, _rotated_product, pi_circuit_system
 from passivenet.simulate import frequency_response
 from passivenet.transforms import internal_cayley
 
@@ -106,7 +106,8 @@ class TestResolventPlan:
 
     # a mode at -1e17 beside the coupled slow pair [[-1.5, .5], [.5, -1.5]]
     # (eigenvalues -1 and -2): eps |A| ~ 22 is more than every slow pivot
-    # |T_kk - s| at these points, so ztrsyl would replace those pivots by it
+    # |T_kk - s| at these points, so the Schur pivots carry no digit of the
+    # slow eigenvalues and these points must reach the equilibrated solve
     STIFF_A = np.array([[-1e17, 0.0, 0.0], [0.0, -1.5, 0.5], [0.0, 0.5, -1.5]])
 
     @pytest.mark.parametrize("s", [0.0, -1.5, 0.5j, -1.0 + 1e-6, -3.0 + 0.1j])
@@ -117,7 +118,7 @@ class TestResolventPlan:
         assert np.abs(transfer_function(sys, s) - want).max() <= 1e-10 * np.abs(want).max()
 
     # with the slow pair unexcited the solution is exact either way, and
-    # only the pivots tell that the gate's probes went through a floored solve
+    # only the gate's probes, which excite every mode, see the slow pole
     @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
     def test_stiff_point_on_a_slow_pole_rejected(self, b):
         sys = StateSpaceSystem(self.STIFF_A, np.array(b).reshape(3, 1), np.ones((1, 3)),
@@ -127,8 +128,8 @@ class TestResolventPlan:
                 transfer_function(sys, s)
 
     def test_large_point_leaves_its_chunk_mates_exact(self):
-        # a point at 1e17 Hz raises ztrsyl's pivot floor (eps max |s|) for
-        # every point solved beside it above the slow pivots
+        # a point at 1e17 Hz solved in the same chunk as the slow points
+        # must leave their pivots and their accuracy alone
         A, B = self.STIFF_A[1:, 1:], np.array([[1.0], [2.0]])
         C, D = np.array([[1.0, -1.0]]), np.zeros((1, 1))
         sys = StateSpaceSystem(A, B, C, D, split=(1, 0))
@@ -138,6 +139,22 @@ class TestResolventPlan:
         for f, G in zip(freqs, resp.values):
             want = transfer_equilibrated(A, B, C, D, 2j * np.pi * f)
             assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_long_sweep_working_set(self):
+        # points go through the plan in chunks, so a 4000-point sweep keeps a
+        # working set of a few chunks next to its result
+        import tracemalloc
+        sys = _rotated_product(ButterworthConfig(), 1e-9)
+        freqs = np.geomspace(1e4, 1e7, 4000)
+        frequency_response(sys, freqs[:10])
+        tracemalloc.start()
+        try:
+            resp = frequency_response(sys, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resp.ok.all()
+        assert peak < 8 * resp.values.nbytes
 
 
 class TestDiscreteTransfer:
@@ -337,6 +354,12 @@ class TestDiscreteValidation:
         with pytest.raises(DimensionMismatch, match="sigma"):
             DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                            np.zeros((1, 1)), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(DimensionMismatch, match="sigma must be positive and finite"):
+            DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), sigma=sigma)
 
 
 class TestPortSignalFrame:

@@ -308,9 +308,8 @@ class TestFrequencyResponseFlags:
         # (+-i 2 pi 100 from an undamped oscillator, or 0 on the diagonal)
         # beside damped modes; the gated point shares a chunk of the sweep
         # with 40 others, whose values must not notice it.  With a 1e300
-        # input column the gated point's solve would overflow, so the
-        # chunk's triangular solve is rescaled as a whole, pushing the
-        # other points' 1e-14 column into underflow for one round.
+        # input column the gated point's solve overflows, and the other
+        # points must keep their 1e-14 column all the same.
         n = 9
         A = np.triu(rng.standard_normal((n, n)), 1)
         A[np.arange(2, n), np.arange(2, n)] = -rng.uniform(1.0, 1e3, n - 2)

@@ -169,7 +169,7 @@ class TestInternalCayley:
         assert np.array_equal(phi.Ad, np.eye(2))
         assert np.array_equal(phi.Dd, np.array([[3.0]]))
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_positive_sigma_is_a_usage_error(self, sigma):
         # like DiscreteSystem, not a gate (NearSpectrum) firing
         from passivenet.errors import DimensionMismatch
@@ -328,6 +328,15 @@ class TestResistanceMatrix:
             ResistanceMatrix(-np.eye(1), np.eye(1))
         with pytest.raises(DimensionMismatch):
             ResistanceMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(1))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, value):
+        # a usage error, not the eigen-solver's LinAlgError
+        from passivenet.errors import DimensionMismatch
+        with pytest.raises(DimensionMismatch, match="R1 contains non-finite"):
+            ResistanceMatrix([[value]], np.zeros((0, 0)))
+        with pytest.raises(DimensionMismatch, match="R2 contains non-finite"):
+            ResistanceMatrix(np.eye(1), [[value]])
 
     def test_sqrt_squares_back(self, rng):
         R = random_resistance(rng, 2, 1)

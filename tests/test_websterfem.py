@@ -144,6 +144,9 @@ class TestAssembly:
             AreaFunction(np.array([0.0, L]), np.array([1e-4, -1e-4]))
         with pytest.raises(MonotonicityError):
             AreaFunction(np.array([0.0, 0.1, 0.05]), np.array([1e-4] * 3))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(BadGeometry, match="nodes must be finite"):
+                AreaFunction(np.array([0.0, 0.1, bad]), np.array([1e-4] * 3))
 
 
 class TestAreaCsv:
