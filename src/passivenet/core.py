@@ -194,19 +194,16 @@ def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
     return np.linalg.inv(M)
 
 
-#: Points per round of a resolvent plan: it only bounds the working set,
-#: as no point's solve depends on its chunk-mates.  Of 32 to 512, 128 was
-#: about the fastest on the 412-state composite and the 6-state
-#: Butterworth product (2-vCPU host, OpenBLAS).
+#: Points per round of a resolvent plan: no point's solve depends on its
+#: chunk-mates, so it bounds the working set and the width of every product.
+#: Of 32 to 512, 128 was about the fastest on the 412-state composite and the
+#: 6-state Butterworth product (2-vCPU host, OpenBLAS).  256 is faster in a
+#: warm loop, but its wider products of the 6-state sweep go to OpenBLAS's
+#: thread pool, and a fresh benchmark process then ran the sweep slower.
 _PLAN_CHUNK = 128
 
-#: The Schur pivots T_kk stand for the eigenvalues of A only to within
-#: about eps * max|T|, so a pivot T_kk - s that small says nothing of the
-#: distance from s to the spectrum.  A point is left to the Schur solve
-#: only when every pivot clears eps * max|T| by this factor ...
-_FLOOR_MARGIN = 16.0
-
-#: ... and the refined solution's componentwise backward error
+#: A point is left to the Schur solve only when the refined solution's
+#: componentwise backward error
 #: max_i |B - (sI - A) X|_i / (|B| + |sI - A| |X|)_i is at most this.
 #: Converged refinement reaches a few eps (about 1e-15 on the 412-state
 #: waveguide and on the stiff Butterworth product).
@@ -218,8 +215,9 @@ class _ResolventPlan:
 
     A is balanced, A = Tm Ab Tm^-1 with Tm a scaled permutation, and Ab is
     reduced once to complex Schur form Z T Z^H, so that
-    (sI - A)^-1 = Tm Z (sI - T)^-1 Z^H Tm^-1.  The triangular solves are
-    one back-substitution over the rows of T for all points at once
+    (sI - A)^-1 = Tm Z (sI - T)^-1 Z^H Tm^-1, with Tm Z and Z^H Tm^-1
+    formed once.  The triangular solves are one back-substitution over the
+    rows of T for all points at once
     (Laub, IEEE TAC 26(2), 1981), each column with its own pivots s - T_kk,
     so a point costs O(n^2), forms no n x n matrix and shares no scale with
     the others.  Each solution gets two steps of iterative refinement with
@@ -229,9 +227,9 @@ class _ResolventPlan:
     alone) swamps the slow ones.
 
     Where that is not enough, because a point lies within a few eps |A| of
-    a slow eigenvalue, the point is solved again by an LU of the row- and
-    column-equilibrated sI - A, with the same probes and refinement; see
-    _FLOOR_MARGIN and _BERR_LIMIT.
+    a slow eigenvalue, the refined solution's backward error shows it, and
+    the point is solved again by an LU of the row- and column-equilibrated
+    sI - A, with the same probes and refinement; see _BERR_LIMIT.
 
     Each point is gated: sigma_min(sI - A), estimated by two fixed
     inverse-power probes, must reach RCOND_FLOOR times the median row max
@@ -246,14 +244,17 @@ class _ResolventPlan:
         if n == 0:
             return
         Ab, (scale, perm) = scipy.linalg.matrix_balance(A, separate=True)
-        # Tm = I[:, perm] diag(scale), so Tm^-1 y = y[perm] / scale
-        self._perm, self._scale = perm, scale
-        self._unperm = np.argsort(perm)
         # real Schur form made complex: the same factorisation as a complex
         # Schur decomposition, at about half its cost
-        self._T, self._Z = scipy.linalg.rsf2csf(*scipy.linalg.schur(Ab))
+        self._T, Z = scipy.linalg.rsf2csf(*scipy.linalg.schur(Ab))
         self._pivots = np.diag(self._T).copy()
-        self._pivot_floor = _FLOOR_MARGIN * np.finfo(float).eps * np.abs(self._T).max()
+        # the balancing folded into the Schur vectors, exactly, as the scales
+        # are powers of two: with Tm = I[:, perm] diag(scale),
+        # (sI - A)^-1 = right (sI - T)^-1 left, right = Tm Z, left = Z^H Tm^-1
+        self._left = np.empty_like(Z)
+        self._left[:, perm] = Z.conj().T / scale
+        self._right = np.empty_like(Z)
+        self._right[perm] = scale[:, None] * Z
         self._diag = np.diag(A).copy()
         self._offdiag = np.abs(A)
         np.fill_diagonal(self._offdiag, 0.0)
@@ -264,15 +265,24 @@ class _ResolventPlan:
             y = probe_rng.standard_normal(n) + 1j * probe_rng.standard_normal(n)
             probes.append(y / np.linalg.norm(y))
         self._probes = np.stack(probes, axis=1)
+        # every full chunk starts from the same right-hand sides
+        self._full_round1 = self._round1(_PLAN_CHUNK)
+
+    def _round1(self, k: int) -> np.ndarray:
+        """The first round's right-hand sides for k points: B tiled k times,
+        then both probes tiled k times."""
+        return np.hstack([np.tile(self.B, (1, k)), np.tile(self._probes, (1, k))])
 
     def _solve(self, shifts: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Column j of the result is (shifts[j] I - A)^-1 Y[:, j]."""
-        X = (self._Z.T @ (Y[self._perm] / self._scale[:, None]).conj()).conj()
-        T = self._T
-        for i in range(T.shape[0] - 1, -1, -1):
-            X[i] += T[i, i + 1:] @ X[i + 1:]
-            X[i] /= shifts - T[i, i]
-        return (self._scale[:, None] * (self._Z @ X))[self._unperm]
+        X = self._left @ Y
+        T, pivots = self._T, shifts - self._pivots[:, None]
+        X[-1] /= pivots[-1]
+        for i in range(T.shape[0] - 2, -1, -1):
+            row = X[i]  # a view, so the updates below write no copy back
+            row += T[i, i + 1:] @ X[i + 1:]
+            row /= pivots[i]
+        return self._right @ X
 
     def _dense_solver(self, s: complex):
         """A solve at the one point s by an LU of the row- and
@@ -291,8 +301,10 @@ class _ResolventPlan:
                                                        check_finite=False) / c[:, None]
 
     def _residual(self, shifts: np.ndarray, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Y - (sI - A) X column by column, with A kept real."""
-        AX = self.A @ X.real + 1j * (self.A @ X.imag)
+        """Y - (sI - A) X column by column, with A kept real: one real GEMM
+        on the float view of X (which the view needs C-contiguous)."""
+        X = np.ascontiguousarray(X)
+        AX = (self.A @ X.view(float)).view(complex)
         return Y - (shifts * X - AX)
 
     def _chunk(self, s: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -303,13 +315,16 @@ class _ResolventPlan:
         and fails the backward-error test."""
         m = self.B.shape[1]
         k = s.size
-        rhs = np.tile(self.B, (1, k))
+        Y = self._full_round1
+        if Y.shape[1] != k * (m + 2):
+            Y = self._round1(k)
+        rhs = Y[:, :k * m]
         shifts = np.repeat(s, m)
         both = np.concatenate([shifts, np.repeat(s, 2)])
         # round 1 solves the right-hand sides and both probes; round 2 the
         # first refinement and the probes' inverse-power steps; round 3 the
         # second refinement
-        sol = solve(both, np.hstack([rhs, np.tile(self._probes, (1, k))]))
+        sol = solve(both, Y)
         X, probes = sol[:, :k * m], sol[:, k * m:]
         norm1 = np.linalg.norm(probes, axis=0)
         sol = solve(both, np.hstack([self._residual(shifts, rhs, X), probes / norm1]))
@@ -318,8 +333,9 @@ class _ResolventPlan:
         X = X + solve(shifts, self._residual(shifts, rhs, X))
         inv_norm = np.maximum(norm1, norm2).reshape(k, 2).max(axis=1)
         sigma = np.where(np.isnan(inv_norm), 0.0, 1.0 / inv_norm)
-        bound = (np.abs(rhs) + self._offdiag @ np.abs(X)
-                 + np.abs(shifts - self._diag[:, None]) * np.abs(X))
+        absX = np.abs(X)
+        bound = (np.abs(rhs) + self._offdiag @ absX
+                 + np.abs(shifts - self._diag[:, None]) * absX)
         # NaN compares False, so a non-finite solution never converges
         converged = np.abs(self._residual(shifts, rhs, X)) <= _BERR_LIMIT * bound
         values = self.D + (self.C @ X).reshape(m, k, m).transpose(1, 0, 2)
@@ -329,10 +345,10 @@ class _ResolventPlan:
         """(values, ok, sigma_min estimate, row scale) at each point; values
         are NaN where ``ok`` is False.  RCOND_FLOOR is read at call time."""
         s = np.asarray(points, dtype=complex).reshape(-1)
-        m = self.D.shape[0]
+        n, m = self.A.shape[0], self.D.shape[0]
         values = np.full((s.size, m, m), np.nan, dtype=complex)
         sigma, scale = np.zeros(s.size), np.zeros(s.size)
-        if self.A.shape[0] == 0:
+        if n == 0:
             values[:] = self.D
             return values, np.ones(s.size, dtype=bool), np.full(s.size, np.inf), scale
         with np.errstate(all="ignore"):
@@ -340,13 +356,14 @@ class _ResolventPlan:
                 part = np.arange(lo, min(lo + _PLAN_CHUNK, s.size))
                 rows = np.maximum(self._offdiag_rowmax[:, None],
                                   np.abs(s[part] - self._diag[:, None]))
-                scale[part] = np.median(rows, axis=0)
+                # the median row scale, as np.median takes it but cheaper
+                mid = np.partition(rows, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2:n // 2 + 1]
+                scale[part] = mid.sum(axis=0) / mid.shape[0]
                 live = part[(rows.min(axis=0) > 0) & np.isfinite(rows).all(axis=0)]
                 if not live.size:
                     continue
                 values[live], sigma[live], converged = self._chunk(s[live], self._solve)
-                pivot = np.abs(self._pivots[:, None] - s[live]).min(axis=0)
-                for p in live[(pivot <= self._pivot_floor) | ~converged]:
+                for p in live[~converged]:
                     values[[p]], sigma[[p]], _ = self._chunk(s[[p]], self._dense_solver(s[p]))
             ok = np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
         values[~ok] = np.nan

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_system
 from oracles import transfer_dense, transfer_equilibrated
 
+from passivenet import core
 from passivenet.core import (
     DiscreteSystem,
     StateSpaceSystem,
@@ -26,7 +27,15 @@ from passivenet.core import (
     transfer_function,
 )
 from passivenet.errors import DimensionMismatch, NearSpectrum
-from passivenet.pipelines import ButterworthConfig, _rotated_product, pi_circuit_system
+from passivenet.pipelines import (
+    ButterworthConfig,
+    WaveguideConfig,
+    _rotated_product,
+    butterworth_compose,
+    pi_circuit_system,
+    uniform_tube,
+    waveguide_compose,
+)
 from passivenet.simulate import frequency_response
 from passivenet.transforms import internal_cayley
 
@@ -106,8 +115,9 @@ class TestResolventPlan:
 
     # a mode at -1e17 beside the coupled slow pair [[-1.5, .5], [.5, -1.5]]
     # (eigenvalues -1 and -2): eps |A| ~ 22 is more than every slow pivot
-    # |T_kk - s| at these points, so the Schur pivots carry no digit of the
-    # slow eigenvalues and these points must reach the equilibrated solve
+    # |T_kk - s| at these points, and the refined Schur solve, or the
+    # equilibrated solve where its backward error is too large, must still
+    # match the equilibrated oracle
     STIFF_A = np.array([[-1e17, 0.0, 0.0], [0.0, -1.5, 0.5], [0.0, 0.5, -1.5]])
 
     @pytest.mark.parametrize("s", [0.0, -1.5, 0.5j, -1.0 + 1e-6, -3.0 + 0.1j])
@@ -155,6 +165,34 @@ class TestResolventPlan:
             tracemalloc.stop()
         assert resp.ok.all()
         assert peak < 8 * resp.values.nbytes
+
+    def test_chunking_invariance(self, monkeypatch):
+        # the chunk size bounds the working set and nothing else: only the
+        # blocking of the products moves, which moved the values by at most
+        # 1.3e-11 of a point's largest entry (the 108-state composite solved
+        # one point at a time), 0 on the Butterworth product, and 4e-25 on
+        # the impedance, whose stiff points go to the equilibrated LU
+        dense_points = []
+        dense_solver = core._ResolventPlan._dense_solver
+        monkeypatch.setattr(core._ResolventPlan, "_dense_solver",
+                            lambda plan, s: dense_points.append(s) or dense_solver(plan, s))
+        cfg = ButterworthConfig()
+        comp = waveguide_compose(WaveguideConfig(area=uniform_tube(), n=24, k=12,
+                                                 sample_points=80))
+        cases = [(_rotated_product(cfg, 1e-9), np.geomspace(1e4, 1e7, 1000)),
+                 (comp.composite_impedance, np.geomspace(30.0, 1e4, 300)),
+                 (butterworth_compose(cfg).impedance, np.geomspace(1e4, 1e7, 400))]
+        for sys, freqs in cases:
+            runs = []
+            for chunk in (1, 7, 128):
+                monkeypatch.setattr(core, "_PLAN_CHUNK", chunk)
+                runs.append(frequency_response(sys, freqs))
+            want = runs[-1]
+            for got in runs[:-1]:
+                assert np.array_equal(got.ok, want.ok)
+                gap = np.abs(got.values - want.values).max(axis=(1, 2))
+                assert np.all(gap <= 1e-10 * np.abs(want.values).max(axis=(1, 2)))
+        assert dense_points  # the impedance's stiff points took the fallback
 
 
 class TestDiscreteTransfer:
