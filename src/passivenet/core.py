@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NearSpectrum, SingularBlock
+from .errors import DimensionMismatch, NearSpectrum, NotSPD, SingularBlock
+
+#: A symmetric matrix value may be off symmetry by |X - X^T|_2 <= SYMMETRY_RTOL
+#: |X|_2; a definite one needs every eigenvalue above DEFINITE_RTOL max|w|, a
+#: semidefinite one none below minus that (its fuzzy kernel is clipped to 0).
+SYMMETRY_RTOL = 1e-10
+DEFINITE_RTOL = 1e-12
 
 #: Relative reciprocal-condition threshold below which a resolvent solve
 #: is rejected as "on top of the spectrum".
@@ -42,6 +48,29 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
     if shape is not None and arr.shape != shape:
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
+
+
+def _symmetric_eig(name: str, value, definite: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, w, V): the symmetrised matrix value and the eigenpairs of one eigh,
+    once X is checked finite, square, symmetric, and positive definite if
+    ``definite`` else semidefinite.  The package's one such check; it raises
+    DimensionMismatch, or its subclass NotSPD, naming the matrix."""
+    X = _as_matrix(name, value)
+    if X.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {X.shape}")
+    # an exactly symmetric X (the FEM's) has asymmetry 0 and needs no SVD
+    if not np.array_equal(X, X.T) and (
+            np.linalg.norm(X - X.T, 2) > SYMMETRY_RTOL * np.linalg.norm(X, 2)):
+        raise NotSPD(f"{name} is not symmetric")
+    X = 0.5 * (X + X.T)
+    w, V = np.linalg.eigh(X)
+    if w.size:
+        floor = DEFINITE_RTOL * max(-w[0], w[-1])
+        if (w[0] <= floor) if definite else (w[0] < -floor):
+            kind = "definite" if definite else "semidefinite"
+            raise NotSPD(f"{name} must be positive {kind} "
+                         f"(eigenvalues {w[0]:.3e} to {w[-1]:.3e})")
+    return X, w, V
 
 
 def _freeze(obj, **arrays: np.ndarray) -> None:
@@ -242,6 +271,7 @@ class _ResolventPlan:
         self.A, self.B, self.C, self.D = A, B, C, D
         n = A.shape[0]
         if n == 0:
+            self._pivots = np.zeros(0, dtype=complex)
             return
         Ab, (scale, perm) = scipy.linalg.matrix_balance(A, separate=True)
         # real Schur form made complex: the same factorisation as a complex
@@ -470,15 +500,6 @@ def minimality(sys: StateSpaceSystem) -> tuple[int, int, bool]:
     return rc, ro, (rc == n and ro == n)
 
 
-def _spectrum_scale(sys: StateSpaceSystem) -> tuple[float, float]:
-    if sys.n == 0:
-        return 1.0, 1.0
-    mags = np.abs(np.linalg.eigvals(sys.A))
-    lo = float(np.min(mags[mags > 0], initial=1.0))
-    hi = float(np.max(mags, initial=1.0))
-    return max(lo, 1e-6), max(hi, 1.0)
-
-
 def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8,
                   seed: int = 0) -> bool:
     """Sampled I/O equivalence: compare transfers at n_p + n_q + 1 points.
@@ -493,9 +514,11 @@ def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8,
     if p.m != q.m:
         raise DimensionMismatch(f"io_equivalent needs equal signal width, got {p.m} vs {q.m}")
     npts = p.n + q.n + 1
-    (lo_p, hi_p), (lo_q, hi_q) = _spectrum_scale(p), _spectrum_scale(q)
-    lo, hi = min(lo_p, lo_q), max(hi_p, hi_q)
     plans = [_ResolventPlan(sys.A, sys.B, sys.C, sys.D) for sys in (p, q)]
+    # both spectra's magnitudes from the plans' Schur diagonals
+    mags = np.abs(np.concatenate([plan._pivots for plan in plans]))
+    lo = max(float(np.min(mags[mags > 0], initial=1.0)), 1e-6)
+    hi = float(np.max(mags, initial=1.0))
     for attempt in range(5):
         rng = np.random.default_rng(seed + 7919 * attempt)
         mags = np.exp(rng.uniform(np.log(0.3 * lo), np.log(3.0 * hi), npts))

@@ -73,7 +73,7 @@ class NotProperlyPassive(PassiveNetError):
     """Neither operand of an unregularised star product is properly passive."""
 
 
-class NotSPD(PassiveNetError):
+class NotSPD(DimensionMismatch):
     """A matrix expected symmetric positive (semi)definite is not."""
 
 

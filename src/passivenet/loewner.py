@@ -346,8 +346,8 @@ def reduce_order(interp: DescriptorInterpolant, k: int,
     Mk = Uk.T @ interp.M_mat @ Vk
     _gate(Lk, RankDeficient, f"projected Loewner pencil condition {{cond:.3e}} at order {k}",
           limit=condition_limit)
-    A = np.linalg.solve(Lk, Mk)
-    B = -np.linalg.solve(Lk, Uk.T @ interp.b).reshape(-1, 1)
+    X = np.linalg.solve(Lk, np.column_stack([Mk, Uk.T @ interp.b]))
+    A, B = X[:, :k], -X[:, k:]
     C = (interp.c @ Vk).reshape(1, -1)
     sys = StateSpaceSystem(A, B, C, np.zeros((1, 1)), split=(1, 0))
     return DescriptorInterpolant(interp.L_mat, interp.M_mat, interp.b, interp.c,

@@ -25,44 +25,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _freeze, _gate
-from .errors import DimensionMismatch, NotSPD, SingularStiffness
-
-#: Eigenvalues of a PSD matrix below this fraction of the largest are
-#: clipped to zero before taking square roots (FEM stiffness kernels are
-#: numerically fuzzy).
-PSD_CLIP_RTOL = 1e-12
+from .core import StateSpaceSystem, _as_matrix, _freeze, _gate, _symmetric_eig
+from .errors import DimensionMismatch, SingularStiffness
 
 
-def _check_symmetric(name: str, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {X.shape}")
-    scale = np.linalg.norm(X, 2) if X.size else 0.0
-    if X.size and np.linalg.norm(X - X.T, 2) > 1e-10 * (1.0 + scale):
-        raise NotSPD(f"{name} is not symmetric")
-    return 0.5 * (X + X.T)
+def _sqrt_of(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V diag(w)^1/2 V^T from eigenpairs, the kernel clipped at 0."""
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
 def spd_sqrt(X: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, kernel clipped at 0."""
-    X = _check_symmetric("X", X)
-    if X.size == 0:
-        return X
-    w, V = np.linalg.eigh(X)
-    scale = max(w.max(), 0.0)
-    if w.min() < -PSD_CLIP_RTOL * max(scale, 1.0):
-        raise NotSPD(f"matrix has eigenvalue {w.min():.3e}, not PSD")
-    w = np.clip(w, 0.0, None)
-    return (V * np.sqrt(w)) @ V.T
-
-
-def _spd_inv_sqrt(name: str, X: np.ndarray) -> np.ndarray:
-    X = _check_symmetric(name, X)
-    w, V = np.linalg.eigh(X)
-    if w.min() <= 0:
-        raise NotSPD(f"{name} must be positive definite (min eigenvalue {w.min():.3e})")
-    return (V / np.sqrt(w)) @ V.T
+    _, w, V = _symmetric_eig("X", X, definite=False)
+    return _sqrt_of(w, V)
 
 
 @dataclass(frozen=True)
@@ -82,27 +57,21 @@ class SecondOrderSystem:
     Q2: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        M = _check_symmetric("M", self.M)
+        M, w, V = _symmetric_eig("M", self.M, definite=True)
         m = M.shape[0]
-        P = _check_symmetric("P", self.P)
-        K = _check_symmetric("K", self.K)
+        P = _symmetric_eig("P", self.P, definite=False)[0]
+        K, wk, Vk = _symmetric_eig("K", self.K, definite=False)
         if P.shape != (m, m) or K.shape != (m, m):
             raise DimensionMismatch("M, P, K must share one size")
-        F = np.asarray(self.F, dtype=float)
-        if F.ndim != 2 or F.shape[0] != m:
+        F = _as_matrix("F", self.F)
+        if F.shape[0] != m:
             raise DimensionMismatch(f"F must be {m} x k, got {F.shape}")
-        tolm = 1.0 + np.linalg.norm(M, 2)
-        if np.linalg.eigvalsh(M).min() <= 0:
-            raise NotSPD("M must be positive definite")
-        for name, X in (("P", P), ("K", K)):
-            if X.size and np.linalg.eigvalsh(X).min() < -PSD_CLIP_RTOL * tolm:
-                raise NotSPD(f"{name} must be positive semidefinite")
         k = F.shape[1]
-        Q1 = np.zeros((k, m)) if self.Q1 is None else np.asarray(self.Q1, dtype=float)
-        Q2 = 0.5 * F.T if self.Q2 is None else np.asarray(self.Q2, dtype=float)
-        if Q1.shape != (k, m) or Q2.shape != (k, m):
-            raise DimensionMismatch(f"Q1, Q2 must be {k} x {m}")
-        _freeze(self, M=M, P=P, K=K, F=F, Q1=Q1, Q2=Q2)
+        Q1 = np.zeros((k, m)) if self.Q1 is None else _as_matrix("Q1", self.Q1, (k, m))
+        Q2 = 0.5 * F.T if self.Q2 is None else _as_matrix("Q2", self.Q2, (k, m))
+        # M^-1/2 and K^1/2 from the check's eigenpairs, for the realisations
+        _freeze(self, M=M, P=P, K=K, F=F, Q1=Q1, Q2=Q2,
+                _Mih=(V / np.sqrt(w)) @ V.T, _Kh=_sqrt_of(wk, Vk))
 
     @property
     def size(self) -> int:
@@ -113,15 +82,6 @@ class SecondOrderSystem:
         return self.F.shape[1]
 
 
-def _generator(so: SecondOrderSystem):
-    Mih = _spd_inv_sqrt("M", so.M)
-    Kh = spd_sqrt(so.K)
-    m = so.size
-    A = np.block([[np.zeros((m, m)), Kh @ Mih],
-                  [-Mih @ Kh, -Mih @ so.P @ Mih]])
-    return A, Mih, Kh
-
-
 def first_order_realization(so: SecondOrderSystem, method: str = "colocated",
                             split: Optional[tuple[int, int]] = None) -> StateSpaceSystem:
     """Realise the second-order system on its 2m energy coordinates.
@@ -130,8 +90,10 @@ def first_order_realization(so: SecondOrderSystem, method: str = "colocated",
     SingularStiffness otherwise); ``method="colocated"`` allows singular K
     and forces the co-located observation Q1 = 0, Q2 = F^T.
     """
-    A, Mih, Kh = _generator(so)
+    Mih, Kh = so._Mih, so._Kh
     m, k = so.size, so.ports
+    A = np.block([[np.zeros((m, m)), Kh @ Mih],
+                  [-Mih @ Kh, -Mih @ so.P @ Mih]])
     if method == "colocated":
         X = Mih @ so.F
         B = np.vstack([np.zeros((m, k)), X])

@@ -34,7 +34,7 @@ import scipy.linalg
 
 # COND_LIMIT stays importable from here; the gate itself lives in core
 from .core import (COND_LIMIT, DiscreteSystem, StateSpaceSystem,  # noqa: F401
-                   _as_matrix, _freeze, _gate, _gated_inv)
+                   _freeze, _gate, _gated_inv, _symmetric_eig)
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -46,7 +46,7 @@ from .errors import (
     SingularShiftedFeedthrough,
     SplitMismatch,
 )
-from .secondorder import spd_sqrt
+from .secondorder import _sqrt_of
 
 
 def _require_even_split(sys: StateSpaceSystem, what: str) -> None:
@@ -182,17 +182,15 @@ class ResistanceMatrix:
     R2: np.ndarray
 
     def __post_init__(self):
+        roots = []
         for name in ("R1", "R2"):
             M = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
-            M = _as_matrix(name, M.reshape(0, 0) if M.size == 0 else M)
-            if M.shape[0] != M.shape[1]:
-                raise DimensionMismatch(f"{name} must be square, got {M.shape}")
-            if M.size:
-                if np.linalg.norm(M - M.T, 2) > 1e-12 * (1 + np.linalg.norm(M, 2)):
-                    raise DimensionMismatch(f"{name} must be symmetric")
-                if np.linalg.eigvalsh(M).min() <= 0:
-                    raise DimensionMismatch(f"{name} must be positive definite")
+            M, w, V = _symmetric_eig(name, M.reshape(0, 0) if M.size == 0 else M,
+                                     definite=True)
+            roots.append(_sqrt_of(w, V))
             _freeze(self, **{name: M})
+        # R^1/2 from the check's eigenpairs, kept for every Cayley step
+        _freeze(self, _sqrt=scipy.linalg.block_diag(*roots))
 
     @classmethod
     def scalars(cls, r1: float, r2: float | None = None) -> "ResistanceMatrix":
@@ -209,7 +207,7 @@ class ResistanceMatrix:
 
     @property
     def sqrt(self) -> np.ndarray:
-        return scipy.linalg.block_diag(spd_sqrt(self.R1), spd_sqrt(self.R2))
+        return self._sqrt
 
 
 def _external(sys: StateSpaceSystem, R: ResistanceMatrix, shifted, sign: float,

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import second_order_transfer
 
 from passivenet.core import transfer_function
-from passivenet.errors import NotSPD, SingularStiffness
+from passivenet.errors import DimensionMismatch, NotSPD, SingularStiffness
 from passivenet.passivity import (
     CONSERVATIVE,
     discrete_impedance_certificate,
@@ -48,6 +50,76 @@ class TestSpdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotSPD):
             spd_sqrt(np.diag([1.0, -0.5]))
+
+
+def with_spectrum(rng, m, kind):
+    """Exactly symmetric m x m matrix with eigenvalues in [0.1, 10], the
+    smallest replaced by 0 ("semidefinite") or a value in [-10, -0.1]
+    ("indefinite"): every verdict is far from the definiteness tolerance."""
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    w = rng.uniform(0.1, 10.0, m)
+    if kind == "semidefinite":
+        w[0] = 0.0
+    elif kind == "indefinite":
+        w[0] = -rng.uniform(0.1, 10.0)
+    X = (Q * w) @ Q.T
+    return 0.5 * (X + X.T)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("name", ["M", "P", "K"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        # a usage error naming the matrix, not the eigen-solver's LinAlgError
+        mats = {"M": np.eye(2), "P": np.zeros((2, 2)), "K": np.eye(2)}
+        mats[name][0, 0] = value
+        with pytest.raises(DimensionMismatch, match=f"{name} contains non-finite"):
+            SecondOrderSystem(mats["M"], mats["P"], mats["K"], np.ones((2, 1)))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_spd_sqrt_rejects_non_finite(self, value):
+        with pytest.raises(DimensionMismatch, match="X contains non-finite"):
+            spd_sqrt([[value]])
+
+    @pytest.mark.parametrize("scale", [10.0 ** e for e in range(-8, 9)])
+    def test_semidefinite_bound_is_relative_to_the_matrix(self, scale):
+        # c [[1, -1], [-1, 1 - delta]] has the eigenvalue -c delta / 2 (to
+        # first order) beside 2c: delta = 1e-15 is roundoff in the kernel,
+        # delta = 1e-9 a negative eigenvalue 2.5e-10 of the norm, whatever M is
+        def psd(delta):
+            return scale * np.array([[1.0, -1.0], [-1.0, 1.0 - delta]])
+
+        spd_sqrt(psd(1e-15))
+        with pytest.raises(NotSPD):
+            spd_sqrt(psd(1e-9))
+        M, Z, F = np.eye(2), np.zeros((2, 2)), np.ones((2, 1))
+        SecondOrderSystem(M, psd(1e-15), psd(1e-15), F)
+        with pytest.raises(NotSPD, match="^P "):
+            SecondOrderSystem(M, psd(1e-9), Z, F)
+        with pytest.raises(NotSPD, match="^K "):
+            SecondOrderSystem(M, Z, psd(1e-9), F)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4),
+           kinds=st.tuples(*[st.sampled_from(["definite", "semidefinite", "indefinite"])] * 3),
+           exponents=st.tuples(*[st.floats(-8.0, 8.0)] * 3))
+    def test_verdicts_invariant_under_scaling(self, seed, m, kinds, exponents):
+        rng = np.random.default_rng(seed)
+        mats = [with_spectrum(rng, m, kind) for kind in kinds]
+        F = rng.standard_normal((m, 1))
+
+        def verdict(M, P, K):
+            try:
+                SecondOrderSystem(M, P, K, F)
+            except NotSPD as exc:
+                return str(exc).split()[0]  # the matrix it names
+            return None
+
+        rejected = [name for name, kind in zip("MPK", kinds)
+                    if kind == "indefinite" or (name == "M" and kind == "semidefinite")]
+        assert verdict(*mats) == (rejected[0] if rejected else None)
+        scaled = [10.0 ** e * X for e, X in zip(exponents, mats)]
+        assert verdict(*scaled) == verdict(*mats)
 
 
 class TestRealization:
@@ -112,6 +184,18 @@ class TestRealization:
                                    rng.standard_normal((m, int(rng.integers(1, 3)))))
             sys = first_order_realization(so, method="colocated")
             assert impedance_certificate(sys).passive
+
+    def test_realisations_decompose_nothing(self, rng, monkeypatch):
+        # M^-1/2 and K^1/2 come from the eigenpairs M and K were checked with
+        so = SecondOrderSystem(random_spd(rng, 3), np.zeros((3, 3)), random_spd(rng, 3),
+                               rng.standard_normal((3, 1)))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the realisation decomposed M or K again")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        for method in ("colocated", "general"):
+            first_order_realization(so, method=method)
 
     def test_feedthrough_exactly_zero(self, rng):
         so = SecondOrderSystem(random_spd(rng, 2), np.zeros((2, 2)),

@@ -342,6 +342,16 @@ class TestResistanceMatrix:
         R = random_resistance(rng, 2, 1)
         assert np.abs(R.sqrt @ R.sqrt - R.matrix).max() < 1e-12 * np.abs(R.matrix).max()
 
+    def test_sqrt_is_kept_from_the_check(self, rng, monkeypatch):
+        # R^1/2 comes from the eigenpairs R was checked with at construction
+        R = random_resistance(rng, 2, 1)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("R.sqrt decomposed R again")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert np.abs(R.sqrt @ R.sqrt - R.matrix).max() < 1e-12 * np.abs(R.matrix).max()
+
 
 class TestPassivityPreservation:
     def test_transform_certificates(self, rng):
