@@ -50,6 +50,15 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def _require_positive(exc_type, nonnegative=(), **values) -> None:
+    """Raise exc_type naming the first of ``values`` that is not positive and
+    finite (nonnegative and finite, for the names in ``nonnegative``)."""
+    for name, value in values.items():
+        if not (0 < value < np.inf or (name in nonnegative and value == 0)):
+            kind = "nonnegative" if name in nonnegative else "positive"
+            raise exc_type(f"{name} must be {kind} and finite, got {value}")
+
+
 def _symmetric_eig(name: str, value, definite: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, w, V): the symmetrised matrix value and the eigenpairs of one eigh,
     once X is checked finite, square, symmetric, and positive definite if
@@ -167,8 +176,7 @@ class DiscreteSystem:
     split: tuple[int, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not 0.0 < float(self.sigma) < np.inf:
-            raise DimensionMismatch(f"sigma must be positive and finite, got {self.sigma}")
+        _require_positive(DimensionMismatch, sigma=float(self.sigma))
         object.__setattr__(self, "sigma", float(self.sigma))
         _freeze_quadruple(self, ("Ad", "Bd", "Cd", "Dd"))
 

@@ -40,13 +40,14 @@ never inverts the lossless tube on its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
-from .core import DiscreteSystem, StateSpaceSystem
+from .core import DiscreteSystem, StateSpaceSystem, _require_positive
 from .errors import DimensionMismatch, NearSpectrum, NotWellPosed
 from .feedback import star_of_impedance_pair, star_product
 from .loewner import InterpolationScheme, PistonParams
@@ -69,8 +70,8 @@ class ButterworthConfig:
     epsilon: float = 1e-9
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.l1, self.r0) <= 0 or self.epsilon < 0:
-            raise DimensionMismatch("component values must be positive, epsilon >= 0")
+        _require_positive(DimensionMismatch, ("epsilon",), c1=self.c1, c2=self.c2,
+                          l1=self.l1, r0=self.r0, epsilon=self.epsilon)
 
     @property
     def c3(self) -> float:
@@ -295,11 +296,11 @@ class WaveguideConfig:
     square: float = 3e5               # half-width of the sampling square, rad/s
 
     def __post_init__(self):
-        if min(self.n, self.k) < 1 or min(self.c, self.rho, self.r1, self.r2,
-                                          self.sigma, self.square) <= 0:
-            raise DimensionMismatch("waveguide configuration values must be positive")
-        if self.epsilon_factor < 0:
-            raise DimensionMismatch("epsilon_factor must be nonnegative")
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.n, self.k)):
+            raise DimensionMismatch(f"n and k must be positive integers, got {self.n}, {self.k}")
+        _require_positive(DimensionMismatch, ("epsilon_factor",), c=self.c, rho=self.rho,
+                          r1=self.r1, r2=self.r2, sigma=self.sigma, square=self.square,
+                          epsilon_factor=self.epsilon_factor)
 
     @property
     def piston(self) -> PistonParams:
@@ -373,9 +374,8 @@ def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
     load = interp.reduced
     Rp = ResistanceMatrix.scalars(cfg.r1, cfg.r2)
     Rq = ResistanceMatrix.scalars(cfg.r2)
-    prod = star_of_impedance_pair(tube.system, load, Rp, Rq,
-                                  epsilon_p=0.0, epsilon_q=cfg.epsilon)
-    composite = inverse_external_cayley(prod, ResistanceMatrix.scalars(cfg.r1))
+    composite = star_of_impedance_pair(tube.system, load, Rp, Rq, epsilon_p=0.0,
+                                       epsilon_q=cfg.epsilon, impedance=True)
     discrete = transforms.internal_cayley(composite, cfg.sigma)
     mouth_row = np.concatenate([tube.system.C[1], np.zeros(cfg.k)])
     return WaveguideComposite(tube, piston, scheme, interp, load,

@@ -34,7 +34,7 @@ import scipy.linalg
 
 # COND_LIMIT stays importable from here; the gate itself lives in core
 from .core import (COND_LIMIT, DiscreteSystem, StateSpaceSystem,  # noqa: F401
-                   _freeze, _gate, _gated_inv, _symmetric_eig)
+                   _freeze, _gate, _gated_inv, _require_positive, _symmetric_eig)
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -140,8 +140,7 @@ def internal_cayley(sys: StateSpaceSystem, sigma: float) -> DiscreteSystem:
     Ad = (sigma + A)(sigma - A)^-1,  Bd = sqrt(2 sigma) (sigma - A)^-1 B,
     Cd = sqrt(2 sigma) C (sigma - A)^-1,  Dd = G(sigma).
     """
-    if not 0 < sigma < np.inf:
-        raise DimensionMismatch(f"sigma must be positive and finite, got {sigma}")
+    _require_positive(DimensionMismatch, sigma=sigma)
     I = np.eye(sys.n)
     Ad, MB, CM = _moebius(sigma * I - sys.A, sigma * I + sys.A, sys.B, sys.C, NearSpectrum,
                           f"sigma={sigma} is numerically on the spectrum of A")

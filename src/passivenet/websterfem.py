@@ -24,6 +24,7 @@ degree <= 9, which covers the mass integrand with piecewise-linear area).
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,7 +34,7 @@ from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
 from . import core
 from .core import StateSpaceSystem, _freeze
-from .errors import BadGeometry, MonotonicityError, OutOfElement, ParseError
+from .errors import BadGeometry, DimensionMismatch, MonotonicityError, OutOfElement, ParseError
 from .secondorder import SecondOrderSystem, first_order_realization
 
 
@@ -139,15 +140,18 @@ class WaveguideModel:
         banded pencil (s^2 M + K + rho s Y(s) e_mouth e_mouth^T) w = e_glottis
         and returns (rho s w_glottis, ok).  The pencil never inverts the
         lossless tube on its own, so the tube's own resonances are ordinary
-        points.  ``ok`` is the band gate of ``_gated_band_solve``.
+        points.  ``ok`` is the band gate of ``_gated_band_solve``; a point
+        whose s or Y is not finite is gated without being solved.
         """
         s = np.asarray(points, dtype=complex).reshape(-1)
         Y = np.asarray(admittance, dtype=complex).reshape(-1)
+        if Y.shape != s.shape:
+            raise DimensionMismatch(f"{Y.size} admittance(s) for {s.size} point(s)")
         glottis = np.zeros((self.mass.shape[0], 1), dtype=complex)
         glottis[0] = 1.0
         values = np.full(s.size, np.nan, dtype=complex)
         ok = np.zeros(s.size, dtype=bool)
-        for p in range(s.size):
+        for p in np.flatnonzero(np.isfinite(s) & np.isfinite(Y)):
             ab = s[p] * s[p] * self.mass_band + self.stiffness_band
             ab[2 * BANDWIDTH, -1] += self.rho * s[p] * Y[p]
             w = _gated_band_solve(ab, glottis, BANDWIDTH)
@@ -156,38 +160,38 @@ class WaveguideModel:
         return values, ok
 
 
-def hermite_basis_eval(element: tuple[float, float], kind: int, x: float) -> tuple[float, float]:
+def hermite_basis_eval(element, kind: int, x):
     """Value and x-derivative of the local cubic Hermite function phi^kind.
 
     kind 1, 2 are the value functions of the left/right node; kind 3, 4 the
     derivative functions (scaled by the element width h so the DOF is the
-    physical slope).
+    physical slope).  The bounds ``element = (xl, xr)`` and the points ``x``
+    broadcast against each other, and a scalar call returns the same bits
+    as the same point inside an array call.  Powers go through
+    ``np.float_power``, which rounds like Python's float ``**`` (numpy's
+    ``**`` may take a SIMD pow that rounds differently).
     """
-    xl, xr = float(element[0]), float(element[1])
+    xl, xr, x = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                      for v in (element[0], element[1], x)))
     h = xr - xl
-    if h <= 0:
-        raise BadGeometry(f"element {element} has nonpositive width")
-    tol = 1e-12 * max(1.0, abs(xl), abs(xr))
-    if x < xl - tol or x > xr + tol:
-        raise OutOfElement(f"x={x} outside element [{xl}, {xr}]")
+    bad = ~(np.isfinite(xl) & np.isfinite(xr) & (h > 0))
+    if bad.any():
+        raise BadGeometry(f"element [{xl[bad][0]}, {xr[bad][0]}] is non-finite or empty")
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(xl), np.abs(xr)))
+    bad = ~((x >= xl - tol) & (x <= xr + tol))
+    if bad.any():
+        raise OutOfElement(f"x={x[bad][0]} outside element [{xl[bad][0]}, {xr[bad][0]}]")
     l = (x - xl) / h
+    l2, l3 = np.float_power(l, 2), np.float_power(l, 3)
     if kind == 1:
-        return 2 * l**3 - 3 * l**2 + 1, (6 * l**2 - 6 * l) / h
+        return 2 * l3 - 3 * l2 + 1, (6 * l2 - 6 * l) / h
     if kind == 2:
-        return -2 * l**3 + 3 * l**2, (-6 * l**2 + 6 * l) / h
+        return -2 * l3 + 3 * l2, (-6 * l2 + 6 * l) / h
     if kind == 3:
-        return (l**3 - 2 * l**2 + l) * h, 3 * l**2 - 4 * l + 1
+        return (l3 - 2 * l2 + l) * h, 3 * l2 - 4 * l + 1
     if kind == 4:
-        return (l**3 - l**2) * h, 3 * l**2 - 2 * l
+        return (l3 - l2) * h, 3 * l2 - 2 * l
     raise ValueError(f"kind must be 1..4, got {kind}")
-
-
-def _element_dofs(e: int, n: int) -> list[int]:
-    """Global DOF of local (phi1, phi2, phi3, phi4) in element e (1-based); -1 = dropped."""
-    left, right = e - 1, e
-    d3 = n + left if 1 <= left <= n - 1 else -1
-    d4 = n + right if 1 <= right <= n - 1 else -1
-    return [left, right, d3, d4]
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
@@ -196,52 +200,40 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
 def assemble(area: AreaFunction, n: int, c: float, rho: float) -> WaveguideModel:
     """Assemble the 2n-DOF mass/stiffness pair and its conservative two-port.
 
-    The first-order system uses the singular-stiffness realisation path (K
-    always has the constants in its kernel) with the medium density split as
-    sqrt(rho) between the input and output maps, which makes B = C^T and the
-    system exactly impedance conservative.
+    Every element shares the reference Gauss table: the four basis
+    functions are evaluated once each on the n x 5 quadrature grid, and each
+    element's 4 x 4 mass and stiffness blocks come from one product and sum
+    over the quadrature axis.  ``np.add.at`` scatters them in element order
+    into the full Hermite space (value DOFs 0..n, slope DOFs n+1..2n+1),
+    whose two endpoint slopes n+1 and 2n+1 are then dropped.  The
+    first-order system uses the singular-stiffness realisation path (K
+    always has the constants in its kernel) with the medium density split
+    as sqrt(rho) between the input and output maps, which makes B = C^T and
+    the system exactly impedance conservative.
     """
-    if n < 2:
-        raise BadGeometry(f"need at least 2 elements, got {n}")
-    if c <= 0 or rho <= 0:
-        raise BadGeometry("c and rho must be positive")
-    L = area.length
-    h = L / n
-    ndof = 2 * n
-    M = np.zeros((ndof, ndof))
-    K = np.zeros((ndof, ndof))
-    for e in range(1, n + 1):
-        xl, xr = (e - 1) * h, e * h
-        gdof = _element_dofs(e, n)
-        xq = xl + 0.5 * (_GAUSS_X + 1.0) * h
-        wq = 0.5 * h * _GAUSS_W
-        a_q = area(xq)
-        vals = np.zeros((4, xq.size))
-        ders = np.zeros((4, xq.size))
-        for kloc in range(4):
-            for iq, x in enumerate(xq):
-                vals[kloc, iq], ders[kloc, iq] = hermite_basis_eval((xl, xr), kloc + 1, x)
-        k1 = a_q / c**2
-        k2 = a_q
-        for i in range(4):
-            gi = gdof[i]
-            if gi < 0:
-                continue
-            for j in range(4):
-                gj = gdof[j]
-                if gj < 0:
-                    continue
-                M[gi, gj] += np.sum(wq * k1 * vals[i] * vals[j])
-                K[gi, gj] += np.sum(wq * k2 * ders[i] * ders[j])
-    M = 0.5 * (M + M.T)
-    K = 0.5 * (K + K.T)
-    F = np.zeros((ndof, 2))
-    F[0, 0] = 1.0
-    F[n, 1] = 1.0
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise BadGeometry(f"n must be an integer of at least 2 elements, got {n}")
+    core._require_positive(BadGeometry, c=c, rho=rho)
+    h = area.length / n
+    xl, xr = np.arange(n)[:, None] * h, np.arange(1, n + 1)[:, None] * h
+    xq = xl + 0.5 * (_GAUSS_X + 1.0) * h
+    a_q = area(xq)
+    # f[0] values, f[1] slopes, indexed (element, kind, point); each block is
+    # multiplied and summed in the per-element loop's order, so M and K match it bit for bit
+    f = np.moveaxis([hermite_basis_eval((xl, xr), kind, xq) for kind in (1, 2, 3, 4)],
+                    (0, 1), (2, 0))
+    weight = (np.stack([a_q / c**2, a_q]) * (0.5 * h * _GAUSS_W))[:, :, None, :]
+    blocks = np.sum((weight * f)[:, :, :, None] * f[:, :, None], axis=-1)
+    dofs = np.arange(n)[:, None] + [0, 1, n + 1, n + 2]
+    MK = np.zeros((2, 2 * n + 2, 2 * n + 2))
+    np.add.at(MK, (slice(None), dofs[:, :, None], dofs[:, None, :]), blocks)
+    keep = np.r_[:n + 1, n + 2:2 * n + 1]
+    M, K = (0.5 * (X + X.T) for X in MK[:, keep][:, :, keep])
+    F = np.zeros((2 * n, 2))
+    F[[0, n], [0, 1]] = 1.0
     so = SecondOrderSystem(M, np.zeros_like(M), K, F)
     sys0 = first_order_realization(so, method="colocated", split=(1, 1))
-    root_rho = np.sqrt(rho)
-    system = sys0.replace(B=root_rho * sys0.B, C=root_rho * sys0.C)
+    system = sys0.replace(B=np.sqrt(rho) * sys0.B, C=np.sqrt(rho) * sys0.C)
     order = _interleaved_order(n)
     band = [_band_storage(X[np.ix_(order, order)], BANDWIDTH) for X in (M, K)]
     return WaveguideModel(system, M, K, n, float(c), float(rho), order, *band)

@@ -6,7 +6,8 @@ quadrature of their integral representations, ladder impedances by ABCD
 two-port chains, star products by solving the coupled feedthrough
 equations, second-order transfers by the quadratic pencil, the terminated
 waveguide by a dense (or mpmath) solve of its pencil, time stepping one
-sample at a time.
+sample at a time, FEM assembly one element, basis pair and quadrature point
+at a time, the tube's top frequency by mpmath Sturm-count bisection.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from passivenet.errors import DimensionMismatch
+from passivenet.errors import BadGeometry, DimensionMismatch
+from passivenet.websterfem import BANDWIDTH, hermite_basis_eval
 
 
 def transfer_dense(sys, s: complex) -> np.ndarray:
@@ -241,3 +243,104 @@ def step_response_loop(phi, inputs: np.ndarray, x0=None, record_energy=False):
     if record_energy:
         return Y, balance, states
     return Y
+
+
+def _element_dofs(e: int, n: int) -> list[int]:
+    """Global DOF of local (phi1, phi2, phi3, phi4) in element e (1-based); -1 = dropped."""
+    left, right = e - 1, e
+    d3 = n + left if 1 <= left <= n - 1 else -1
+    d4 = n + right if 1 <= right <= n - 1 else -1
+    return [left, right, d3, d4]
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+
+
+def assemble_loop(area, n: int, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element reference for the (mass, stiffness) of
+    ``websterfem.assemble``: a Python loop over element x basis pair x
+    quadrature point, one scalar ``hermite_basis_eval`` call per basis
+    function and point, one ``np.sum`` per matrix entry and element."""
+    if n < 2:
+        raise BadGeometry(f"need at least 2 elements, got {n}")
+    L = area.length
+    h = L / n
+    ndof = 2 * n
+    M = np.zeros((ndof, ndof))
+    K = np.zeros((ndof, ndof))
+    for e in range(1, n + 1):
+        xl, xr = (e - 1) * h, e * h
+        gdof = _element_dofs(e, n)
+        xq = xl + 0.5 * (_GAUSS_X + 1.0) * h
+        wq = 0.5 * h * _GAUSS_W
+        a_q = area(xq)
+        vals = np.zeros((4, xq.size))
+        ders = np.zeros((4, xq.size))
+        for kloc in range(4):
+            for iq, x in enumerate(xq):
+                vals[kloc, iq], ders[kloc, iq] = hermite_basis_eval((xl, xr), kloc + 1, x)
+        k1 = a_q / c**2
+        k2 = a_q
+        for i in range(4):
+            gi = gdof[i]
+            if gi < 0:
+                continue
+            for j in range(4):
+                gj = gdof[j]
+                if gj < 0:
+                    continue
+                M[gi, gj] += np.sum(wq * k1 * vals[i] * vals[j])
+                K[gi, gj] += np.sum(wq * k2 * ders[i] * ders[j])
+    M = 0.5 * (M + M.T)
+    K = 0.5 * (K + K.T)
+    return M, K
+
+
+def _negative_pivots(band_k, band_m, mu, k: int) -> int:
+    """Negative pivots of the LDL^T of K - mu M (no pivoting), with K and M
+    given as {(i, j): value} dicts over 0 <= i - j <= k (k sub-diagonals);
+    by Sylvester's law of inertia the number of eigenvalues of the pencil
+    (K, M) below mu."""
+    n = 1 + max(i for i, _ in band_k)
+    low, piv = {}, []
+    for j in range(n):
+        for i in range(j, min(n, j + k + 1)):
+            a = band_k.get((i, j), 0) - mu * band_m.get((i, j), 0)
+            a -= mpmath.fsum(low[i, p] * low[j, p] * piv[p] for p in range(max(0, i - k), j))
+            if i > j:
+                low[i, j] = a / piv[j]
+            elif a == 0:
+                raise ZeroDivisionError(f"zero pivot at mu = {mu}")
+            else:
+                piv.append(a)
+    return sum(1 for d in piv if d < 0)
+
+
+def tube_top_mp(tube, digits: int = 30) -> float:
+    """sqrt(lambda_max(K, M)) of an assembled tube, the largest |eigenvalue|
+    of its conservative realisation, taking the double M and K as exact.
+
+    Bisection on mu in mpmath: the count of eigenvalues below mu comes from
+    the inertia of the banded LDL^T of K - mu M in the node-interleaved
+    order (``_negative_pivots``), and the bracket is halved until it is
+    ``10**-digits`` relative.
+    """
+    order = tube.band_order
+    with mpmath.workdps(digits + 15):
+        bands = []
+        for X in (tube.stiffness, tube.mass):
+            P = X[np.ix_(order, order)]
+            bands.append({(i, j): mpmath.mpf(float(P[i, j]))
+                          for i, j in zip(*np.nonzero(np.tril(P)))})
+        n = P.shape[0]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while _negative_pivots(*bands, hi, BANDWIDTH) < n:
+            lo, hi = hi, 2 * hi
+        tol = mpmath.mpf(10) ** -digits
+        while hi - lo > tol * hi:
+            mid = (lo + hi) / 2
+            if _negative_pivots(*bands, mid, BANDWIDTH) < n:
+                lo = mid
+            else:
+                hi = mid
+        return float(mpmath.sqrt((lo + hi) / 2))

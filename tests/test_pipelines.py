@@ -18,7 +18,8 @@ from oracles import (
 
 from passivenet import simulate
 from passivenet.core import io_equivalent, minimality, transfer_function
-from passivenet.errors import NearSpectrum, NotWellPosed
+from passivenet.errors import DimensionMismatch, NearSpectrum, NotWellPosed
+from passivenet.feedback import star_of_impedance_pair
 from passivenet.passivity import (
     CONSERVATIVE,
     impedance_certificate,
@@ -40,10 +41,40 @@ from passivenet.pipelines import (
     _rotated_product,
 )
 from passivenet.simulate import ExcitationSpec, frequency_response, resonances, step_response
-from passivenet.transforms import internal_cayley
+from passivenet.transforms import ResistanceMatrix, internal_cayley, inverse_external_cayley
 from conftest import STEP_PARITY, normwise, stepping_gaps
 
 CFG = ButterworthConfig()  # 2.2 nF / 3.4 nF / 14 uH / 50 ohm / 1 nohm
+
+
+class TestConfigValues:
+    """Non-finite or non-positive physical values are rejected at
+    construction, naming the field, instead of failing later inside a
+    transform."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("c", np.nan), ("rho", np.inf), ("sigma", np.inf), ("square", np.nan),
+        ("epsilon_factor", np.nan), ("epsilon_factor", -0.1), ("r1", np.inf),
+        ("r2", 0.0), ("c", -343.0)])
+    def test_waveguide(self, name, value):
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
+            WaveguideConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("n", 4.5), ("n", 0), ("k", 2.0), ("k", "16")])
+    def test_waveguide_counts(self, name, value):
+        with pytest.raises(DimensionMismatch, match="^n and k must be positive integers"):
+            WaveguideConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("c1", np.nan), ("l1", np.inf), ("epsilon", np.nan), ("r0", np.inf),
+        ("c2", 0.0), ("epsilon", -1e-9), ("epsilon", np.inf)])
+    def test_butterworth(self, name, value):
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
+            ButterworthConfig(**{name: value})
+
+    def test_zero_shift_is_allowed(self):
+        assert ButterworthConfig(epsilon=0.0).epsilon == 0.0
+        assert WaveguideConfig(epsilon_factor=0.0).epsilon == 0.0
 
 
 class TestPiCircuit:
@@ -289,6 +320,18 @@ class TestWaveguide:
         cfg, comp = small_composite
         assert comp.mouth_row.shape == (4 * cfg.n + cfg.k,)
         assert np.count_nonzero(comp.mouth_row[4 * cfg.n:]) == 0
+
+    def test_composite_is_the_impedance_star_product(self, small_composite):
+        # the one-port impedance by hand: scattering star, then its inverse
+        # external Cayley transform at R1
+        cfg, comp = small_composite
+        prod = star_of_impedance_pair(comp.tube.system, comp.load,
+                                      ResistanceMatrix.scalars(cfg.r1, cfg.r2),
+                                      ResistanceMatrix.scalars(cfg.r2), epsilon_q=cfg.epsilon)
+        want = inverse_external_cayley(prod, ResistanceMatrix.scalars(cfg.r1))
+        for name in ("A", "B", "C", "D", "split"):
+            np.testing.assert_array_equal(getattr(comp.composite_impedance, name),
+                                          getattr(want, name))
 
     def test_report_runs(self, small_composite):
         _, comp = small_composite
