@@ -72,6 +72,8 @@ def _symmetric_eig(name: str, value, definite: bool) -> tuple[np.ndarray, np.nda
             np.linalg.norm(X - X.T, 2) > SYMMETRY_RTOL * np.linalg.norm(X, 2)):
         raise NotSPD(f"{name} is not symmetric")
     X = 0.5 * (X + X.T)
+    if not definite and not X.any():  # zero (the FEM's damping): no eigh needed
+        return X, np.zeros(X.shape[0]), np.eye(X.shape[0])
     w, V = np.linalg.eigh(X)
     if w.size:
         floor = DEFINITE_RTOL * max(-w[0], w[-1])
@@ -458,15 +460,38 @@ def parallel_sum(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSystem:
     return StateSpaceSystem(A, B, C, p.D + q.D, split=p.split)
 
 
+def _closed_loop(p: StateSpaceSystem, q: StateSpaceSystem, inputs, outputs,
+                 loop, fed, split: tuple[int, int]) -> StateSpaceSystem:
+    """p and q side by side (states and signals stacked p first), with the
+    stacked inputs ``loop`` driven by the stacked outputs ``fed``.  One solve
+    of (I - D[fed, loop]) u_loop = C[fed] x + D[fed, inputs] u eliminates the
+    loop; the result maps u[inputs] to y[outputs] with port split ``split``.
+    All four index arguments are integer arrays into the stacked signals.
+    The caller gates I - D[fed, loop]."""
+    n, m = p.n + q.n, p.m + q.m
+    # the stacked [[A, B], [C, D]], rows (x_p, x_q, y_p, y_q), cols (x_p, x_q, u_p, u_q)
+    S = np.zeros((n + m, n + m))
+    for sys, x0, u0 in ((p, 0, n), (q, p.n, n + p.m)):
+        xs, us = slice(x0, x0 + sys.n), slice(u0, u0 + sys.m)
+        S[xs, xs], S[xs, us], S[us, xs], S[us, us] = sys.A, sys.B, sys.C, sys.D
+    rows, inputs = np.r_[:n, n + outputs][:, None], n + inputs
+    loop, fed = n + loop, (n + fed)[:, None]
+    X = np.linalg.solve(np.eye(loop.size) - S[fed, loop], S[fed, np.r_[:n, inputs]])
+    closed = S[rows, loop] @ X
+    # plus S[rows, (x, inputs)], the state block added in place, not gathered
+    closed[:n, :n] += S[:n, :n]
+    closed[n:, :n] += S[n + outputs, :n]
+    closed[:, n:] += S[rows, inputs]
+    return StateSpaceSystem(closed[:n, :n], closed[:n, n:], closed[n:, :n],
+                            closed[n:, n:], split=split)
+
+
 def cascade_product(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSystem:
-    """G_p(s) G_q(s) via the block upper-triangular realisation."""
+    """G_p(s) G_q(s): q's outputs drive p's inputs, a loop matrix of I."""
     if p.m != q.m:
         raise DimensionMismatch(f"cascade needs equal signal width, got {p.m} vs {q.m}")
-    A = np.block([[p.A, p.B @ q.C],
-                  [np.zeros((q.n, p.n)), q.A]])
-    B = np.vstack([p.B @ q.D, q.B])
-    C = np.hstack([p.C, p.D @ q.C])
-    return StateSpaceSystem(A, B, C, p.D @ q.D, split=p.split)
+    own, other = np.arange(p.m), p.m + np.arange(q.m)
+    return _closed_loop(p, q, other, own, own, other, p.split)
 
 
 def similarity(sys: StateSpaceSystem, T: np.ndarray) -> StateSpaceSystem:

@@ -5,16 +5,16 @@ The star product couples the bottom port of p to the top port of q
 must agree (p.m2 == q.m1) but may differ from the external widths, so
 one-port loads (q.m2 == 0) terminate a two-port naturally.
 
-A loop is well-posed iff Delta1 = I - D_p22 D_q11 and Delta2 = I - D_q11
-D_p22 are invertible; the two are singular together, and |D_p22| + |D_q11|
-< 2 is a sufficient condition.  Conservative components (D = -I against
-matched resistances) are the canonical failure: the shift-and-invert
-regularisation D_i -> D_i + eps*I restores proper impedance passivity and
-with it a well-posed scattering loop.
-
-Of the two algebraically equal ways to write the product (Delta2^-1 D_q11 =
-D_q11 Delta1^-1), we fix the form with Delta2^-1 acting on the p-side blocks
-and Delta1^-1 on the q-side blocks, matching the printed component formulas.
+The product closes that loop with ``core._closed_loop``: p and q side by
+side, one solve of the loop matrix [[I, -D_q11], [-D_p22, I]] for the loop
+inputs (u2, u~1), substituted back.  The loop matrix is invertible exactly
+when Delta1 = I - D_p22 D_q11 and Delta2 = I - D_q11 D_p22 are (its
+Schur complements); the two are singular together, and |D_p22| + |D_q11|
+< 2 is a sufficient condition.  The gate (``well_posedness``) measures
+both against the data scale before the loop is closed.  Conservative
+components (D = -I against matched resistances) are the canonical failure:
+the shift-and-invert regularisation D_i -> D_i + eps*I restores proper
+impedance passivity and with it a well-posed scattering loop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import COND_LIMIT, StateSpaceSystem, _condition
+from .core import COND_LIMIT, StateSpaceSystem, _condition, _require_positive
 from .errors import DimensionMismatch, NotProperlyPassive, NotWellPosed, ResistanceMismatch
 from .passivity import properly_impedance_passive
 from .transforms import (
@@ -52,18 +52,11 @@ class WellPosednessReport:
                 "well_posed": self.well_posed}
 
 
-def _coupled_blocks(p: StateSpaceSystem, q: StateSpaceSystem):
-    if p.m2 != q.m1:
-        raise DimensionMismatch(
-            f"coupled widths differ: p.m2={p.m2} vs q.m1={q.m1}")
-    Dp22 = p.D[p.m1:, p.m1:]
-    Dq11 = q.D[:q.m1, :q.m1]
-    return Dp22, Dq11
-
-
 def well_posedness(p: StateSpaceSystem, q: StateSpaceSystem) -> WellPosednessReport:
     """Diagnose the feedback loop between p's bottom and q's top port."""
-    Dp22, Dq11 = _coupled_blocks(p, q)
+    if p.m2 != q.m1:
+        raise DimensionMismatch(f"coupled widths differ: p.m2={p.m2} vs q.m1={q.m1}")
+    Dp22, Dq11 = p.D[p.m1:, p.m1:], q.D[:q.m1, :q.m1]
     k = Dp22.shape[0]
     np_ = float(np.linalg.norm(Dp22, 2)) if Dp22.size else 0.0
     nq = float(np.linalg.norm(Dq11, 2)) if Dq11.size else 0.0
@@ -77,45 +70,17 @@ def well_posedness(p: StateSpaceSystem, q: StateSpaceSystem) -> WellPosednessRep
 
 
 def star_product(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSystem:
-    """Redheffer star product p * q with split (p.m1, q.m2)."""
+    """Redheffer star product p * q, split (p.m1, q.m2); raises NotWellPosed
+    (carrying the report) where the gate rejects the loop."""
     report = well_posedness(p, q)
     if not report.well_posed:
         raise NotWellPosed(
             f"feedback loop not well-posed: cond(Delta1)={report.delta1_condition:.3e}, "
             f"cond(Delta2)={report.delta2_condition:.3e}", report=report)
-    Dp22, Dq11 = _coupled_blocks(p, q)
-    k = Dp22.shape[0]
-    m1p, m2q = p.m1, q.m2
-    Bp1, Bp2 = p.B[:, :m1p], p.B[:, m1p:]
-    Cp1, Cp2 = p.C[:m1p], p.C[m1p:]
-    Bq1, Bq2 = q.B[:, :k], q.B[:, k:]
-    Cq1, Cq2 = q.C[:k], q.C[k:]
-    Dp11, Dp12, Dp21 = p.D[:m1p, :m1p], p.D[:m1p, m1p:], p.D[m1p:, :m1p]
-    Dq12, Dq21, Dq22 = q.D[:k, k:], q.D[k:, :k], q.D[k:, k:]
-
-    I = np.eye(k)
-    # i2 * [Dq11 Cp2, Dq11 Dp21, Cq1, Dq12]  and  i1 * [Cp2, Dp21, Dp22 Cq1, Dp22 Dq12]
-    rhs2 = np.hstack([Dq11 @ Cp2, Dq11 @ Dp21, Cq1, Dq12])
-    X2 = np.linalg.solve(I - Dq11 @ Dp22, rhs2) if k else rhs2
-    rhs1 = np.hstack([Cp2, Dp21, Dp22 @ Cq1, Dp22 @ Dq12])
-    X1 = np.linalg.solve(I - Dp22 @ Dq11, rhs1) if k else rhs1
-    np_, nq = p.n, q.n
-    # column offsets inside the stacked solves (same layout in X1 and X2)
-    s2 = {"Cp2": slice(0, np_), "Dp21": slice(np_, np_ + m1p),
-          "Cq1": slice(np_ + m1p, np_ + m1p + nq), "Dq12": slice(np_ + m1p + nq, None)}
-    A = np.block([
-        [p.A + Bp2 @ X2[:, s2["Cp2"]], Bp2 @ X2[:, s2["Cq1"]]],
-        [Bq1 @ X1[:, s2["Cp2"]], q.A + Bq1 @ X1[:, s2["Cq1"]]]])
-    B = np.block([
-        [Bp1 + Bp2 @ X2[:, s2["Dp21"]], Bp2 @ X2[:, s2["Dq12"]]],
-        [Bq1 @ X1[:, s2["Dp21"]], Bq2 + Bq1 @ X1[:, s2["Dq12"]]]])
-    C = np.block([
-        [Cp1 + Dp12 @ X2[:, s2["Cp2"]], Dp12 @ X2[:, s2["Cq1"]]],
-        [Dq21 @ X1[:, s2["Cp2"]], Cq2 + Dq21 @ X1[:, s2["Cq1"]]]])
-    D = np.block([
-        [Dp11 + Dp12 @ X2[:, s2["Dp21"]], Dp12 @ X2[:, s2["Dq12"]]],
-        [Dq21 @ X1[:, s2["Dp21"]], Dq22 + Dq21 @ X1[:, s2["Dq12"]]]])
-    return StateSpaceSystem(A, B, C, D, split=(m1p, m2q))
+    m1p, mp, k = p.m1, p.m, p.m2
+    outer = np.r_[:m1p, mp + k:mp + q.m]       # (u1, u~2) in, (y1, y~2) out
+    loop, fed = np.r_[m1p:mp + k], np.r_[mp:mp + k, m1p:mp]  # (u2, u~1) fed by (y~1, y2)
+    return core._closed_loop(p, q, outer, outer, loop, fed, (m1p, q.m2))
 
 
 def star_via_chain(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSystem:
@@ -138,8 +103,7 @@ def regularize(sys_i: StateSpaceSystem, epsilon: float) -> StateSpaceSystem:
     An impedance passive input becomes properly impedance passive for any
     eps > 0; eps = 0 returns the input unchanged.
     """
-    if epsilon < 0:
-        raise DimensionMismatch(f"epsilon must be nonnegative, got {epsilon}")
+    _require_positive(DimensionMismatch, ("epsilon",), epsilon=epsilon)
     if epsilon == 0.0:
         return sys_i
     return sys_i.replace(D=sys_i.D + epsilon * np.eye(sys_i.m))

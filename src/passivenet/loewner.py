@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _freeze, _gate
+from .core import StateSpaceSystem, _freeze, _gate, _require_positive
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -54,6 +54,9 @@ ENVELOPE_RADIUS = 200.0
 #: the default gate only guards against an exactly singular projection.
 #: Pass a tighter limit (e.g. 1e12) to enforce a genuinely regular pencil.
 DEFAULT_CONDITION_LIMIT = 1e18
+
+#: Log-spaced point pairs ``default_scheme`` places above its square.
+_ANCHOR_PAIRS = 8
 
 _LD = np.clongdouble
 
@@ -163,8 +166,7 @@ class PistonParams:
     c: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.rho > 0 and self.c > 0):
-            raise DimensionMismatch("piston parameters must be positive")
+        _require_positive(DimensionMismatch, a=self.a, rho=self.rho, c=self.c)
 
     @property
     def aperture_area(self) -> float:
@@ -363,14 +365,13 @@ def sample_function(scheme: InterpolationScheme,
 
 
 def default_scheme(p: PistonParams, m: int, seed: int, square: float = 3e5,
-                   anchor_band: Optional[tuple[float, float]] = None,
-                   n_anchor_pairs: int = 8) -> InterpolationScheme:
+                   anchor_band: Optional[tuple[float, float]] = None) -> InterpolationScheme:
     """Point placement for the piston: |Z| minima plus random square fill.
 
     Places conjugate pairs near the minima of |Z(i w)| found by a coarse
     grid search (the function's "zeros"), then fills with uniform random
     points in the square { |Re s|, |Im s| <= square } restricted to the
-    left half-plane.  ``anchor_band = (lo, hi)`` adds ``n_anchor_pairs``
+    left half-plane.  ``anchor_band = (lo, hi)`` adds _ANCHOR_PAIRS
     log-spaced pairs hugging the imaginary axis above the square; coupling
     a waveguide whose modes extend past the square needs those anchors to
     keep the reduced load resistive there.  Deterministic for a given seed.
@@ -387,7 +388,7 @@ def default_scheme(p: PistonParams, m: int, seed: int, square: float = 3e5,
         pts.append(complex(-0.02 * square, w))
     if anchor_band is not None:
         lo, hi = anchor_band
-        for w in np.geomspace(max(lo, square * 1.05), hi, n_anchor_pairs):
+        for w in np.geomspace(max(lo, square * 1.05), hi, _ANCHOR_PAIRS):
             pts.append(complex(-0.01 * square, w))
     n_pairs = m  # m points per family = m total pairs across both families
     while len(pts) < n_pairs:

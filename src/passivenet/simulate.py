@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteSystem, StateSpaceSystem
+from .core import DiscreteSystem, StateSpaceSystem, _as_matrix, _require_positive
 from .errors import DimensionMismatch, NonPositive
 
 
@@ -68,11 +68,11 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
         record_energy = "impedance"
     if record_energy not in (False, "impedance", "scattering"):
         raise DimensionMismatch(f"unknown energy mode {record_energy!r}")
-    U = np.atleast_2d(np.asarray(inputs, dtype=float))
+    U = _as_matrix("inputs", np.atleast_2d(inputs))
     if U.shape[1] != phi.m:
         raise DimensionMismatch(f"inputs have width {U.shape[1]}, system has m={phi.m}")
     nsteps = U.shape[0]
-    x = np.zeros(phi.n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    x = np.zeros(phi.n) if x0 is None else _as_matrix("x0", np.reshape(x0, (1, -1)))[0]
     if x.shape != (phi.n,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({phi.n},)")
     n, m = phi.n, phi.m
@@ -157,8 +157,8 @@ class ExcitationSpec:
     def __post_init__(self):
         if self.kind not in ("LFPulseTrain", "LogSweep", "Impulse"):
             raise DimensionMismatch(f"unknown excitation kind {self.kind!r}")
-        if not (self.sample_rate > 0 and self.duration > 0 and self.f0 > 0):
-            raise DimensionMismatch("sample_rate, duration and f0 must be positive")
+        _require_positive(DimensionMismatch, sample_rate=self.sample_rate,
+                          duration=self.duration, f0=self.f0)
         if not all(0.0 < v < 1.0 for v in self.lf_shape):
             raise DimensionMismatch("LF shape parameters must lie in (0, 1)")
         if self.f1 is not None and not (math.isfinite(self.f1) and self.f1 > self.f0):

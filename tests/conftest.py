@@ -119,6 +119,23 @@ def stepping_gaps(phi, inputs, x0=None, record_energy="impedance", probe=None) -
     return gaps
 
 
+def system_norm(sys) -> float:
+    """|[[A, B], [C, D]]|_2, the scale of a system's data."""
+    return float(np.linalg.norm(np.block([[sys.A, sys.B], [sys.C, sys.D]]), 2))
+
+
+def assert_same_realisation(got, want, kappa: float, scale: float) -> None:
+    """got and want share shapes and split, and each of A, B, C, D agrees to
+    8 eps kappa (max|want| + scale): a solve of condition kappa loses about
+    eps kappa of whatever it produces, and of the data it starts from."""
+    assert got.split == want.split
+    for name in "ABCD":
+        X, Y = getattr(got, name), getattr(want, name)
+        assert X.shape == Y.shape, name
+        bound = 8 * np.finfo(float).eps * kappa * (np.abs(Y).max(initial=0.0) + scale)
+        assert np.abs(X - Y).max(initial=0.0) <= bound, name
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

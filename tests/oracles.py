@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: transfer
 functions by explicit dense inversion, special functions by adaptive
 quadrature of their integral representations, ladder impedances by ABCD
 two-port chains, star products by solving the coupled feedthrough
-equations, second-order transfers by the quadratic pencil, the terminated
-waveguide by a dense (or mpmath) solve of its pencil, time stepping one
+equations (and their realisations by the component formulas), cascades by
+the block triangle, second-order transfers by the quadratic pencil, the
+terminated waveguide by a dense (or mpmath) solve of its pencil, time stepping one
 sample at a time, FEM assembly one element, basis pair and quadrature point
 at a time, the tube's top frequency by mpmath Sturm-count bisection.
 """
@@ -18,6 +19,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from passivenet.core import StateSpaceSystem
 from passivenet.errors import BadGeometry, DimensionMismatch
 from passivenet.websterfem import BANDWIDTH, hermite_basis_eval
 
@@ -121,6 +123,55 @@ def star_transfer(p, q, s: complex) -> np.ndarray:
     bottom = np.hstack([Gq21 @ (Gp21 + Gp22 @ u2_u1),
                         Gq22 + Gq21 @ Gp22 @ u2_uq2])
     return np.vstack([top, bottom])
+
+
+def star_product_blocks(p, q):
+    """The star product p * q (split (p.m1, q.m2)) by its component formulas,
+    with Delta2^-1 on the p-side blocks and Delta1^-1 on the q-side blocks;
+    the pair must be well-posed (no gate here)."""
+    Dp22 = p.D[p.m1:, p.m1:]
+    Dq11 = q.D[:q.m1, :q.m1]
+    k = Dp22.shape[0]
+    m1p, m2q = p.m1, q.m2
+    Bp1, Bp2 = p.B[:, :m1p], p.B[:, m1p:]
+    Cp1, Cp2 = p.C[:m1p], p.C[m1p:]
+    Bq1, Bq2 = q.B[:, :k], q.B[:, k:]
+    Cq1, Cq2 = q.C[:k], q.C[k:]
+    Dp11, Dp12, Dp21 = p.D[:m1p, :m1p], p.D[:m1p, m1p:], p.D[m1p:, :m1p]
+    Dq12, Dq21, Dq22 = q.D[:k, k:], q.D[k:, :k], q.D[k:, k:]
+
+    I = np.eye(k)
+    # i2 * [Dq11 Cp2, Dq11 Dp21, Cq1, Dq12]  and  i1 * [Cp2, Dp21, Dp22 Cq1, Dp22 Dq12]
+    rhs2 = np.hstack([Dq11 @ Cp2, Dq11 @ Dp21, Cq1, Dq12])
+    X2 = np.linalg.solve(I - Dq11 @ Dp22, rhs2) if k else rhs2
+    rhs1 = np.hstack([Cp2, Dp21, Dp22 @ Cq1, Dp22 @ Dq12])
+    X1 = np.linalg.solve(I - Dp22 @ Dq11, rhs1) if k else rhs1
+    np_, nq = p.n, q.n
+    # column offsets inside the stacked solves (same layout in X1 and X2)
+    s2 = {"Cp2": slice(0, np_), "Dp21": slice(np_, np_ + m1p),
+          "Cq1": slice(np_ + m1p, np_ + m1p + nq), "Dq12": slice(np_ + m1p + nq, None)}
+    A = np.block([
+        [p.A + Bp2 @ X2[:, s2["Cp2"]], Bp2 @ X2[:, s2["Cq1"]]],
+        [Bq1 @ X1[:, s2["Cp2"]], q.A + Bq1 @ X1[:, s2["Cq1"]]]])
+    B = np.block([
+        [Bp1 + Bp2 @ X2[:, s2["Dp21"]], Bp2 @ X2[:, s2["Dq12"]]],
+        [Bq1 @ X1[:, s2["Dp21"]], Bq2 + Bq1 @ X1[:, s2["Dq12"]]]])
+    C = np.block([
+        [Cp1 + Dp12 @ X2[:, s2["Cp2"]], Dp12 @ X2[:, s2["Cq1"]]],
+        [Dq21 @ X1[:, s2["Cp2"]], Cq2 + Dq21 @ X1[:, s2["Cq1"]]]])
+    D = np.block([
+        [Dp11 + Dp12 @ X2[:, s2["Dp21"]], Dp12 @ X2[:, s2["Dq12"]]],
+        [Dq21 @ X1[:, s2["Dp21"]], Dq22 + Dq21 @ X1[:, s2["Dq12"]]]])
+    return StateSpaceSystem(A, B, C, D, split=(m1p, m2q))
+
+
+def cascade_product_blocks(p, q):
+    """G_p(s) G_q(s) via the block upper-triangular realisation."""
+    A = np.block([[p.A, p.B @ q.C],
+                  [np.zeros((q.n, p.n)), q.A]])
+    B = np.vstack([p.B @ q.D, q.B])
+    C = np.hstack([p.C, p.D @ q.C])
+    return StateSpaceSystem(A, B, C, p.D @ q.D, split=p.split)
 
 
 def second_order_transfer(so, s: complex, general: bool) -> np.ndarray:

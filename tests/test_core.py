@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_system
-from oracles import transfer_dense, transfer_equilibrated
+from conftest import assert_same_realisation, random_system, system_norm
+from oracles import cascade_product_blocks, transfer_dense, transfer_equilibrated
 
 from passivenet import core
 from passivenet.core import (
@@ -282,6 +282,19 @@ class TestAlgebra:
             lhs = transfer_function(cascade_product(p, q), s)
             rhs = transfer_dense(p, s) @ transfer_dense(q, s)
             assert np.abs(lhs - rhs).max() <= 1e-10 * (1 + np.abs(rhs).max())
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           split=st.tuples(st.integers(0, 2), st.integers(0, 2)), well_conditioned=st.booleans())
+    def test_cascade_matches_block_triangle(self, seed, n, split, well_conditioned):
+        if sum(split) == 0:
+            split = (1, 0)
+        rng = np.random.default_rng(seed)
+        p = random_system(rng, n[0], *split, well_conditioned)
+        q = random_system(rng, n[1], *split, well_conditioned)
+        scale = (1.0 + system_norm(p)) * (1.0 + system_norm(q))
+        # the loop matrix is I: nothing to amplify
+        assert_same_realisation(cascade_product(p, q), cascade_product_blocks(p, q), 1.0, scale)
 
     def test_dimension_mismatch(self, rng):
         p = random_system(rng, 2, 1, 1)

@@ -1,20 +1,28 @@
-"""Star products: well-posedness diagnostics, the printed component formulas
-against an independent loop-solve oracle, the cascade-of-chains route, and
-the shift-and-invert regularisation."""
+"""Star products: well-posedness diagnostics, the loop closure against the
+component formulas and an independent loop-solve oracle, the
+cascade-of-chains route, and the shift-and-invert regularisation."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    assert_same_realisation,
     random_conservative,
     random_impedance_passive,
     random_resistance,
     random_system,
+    system_norm,
 )
-from oracles import star_transfer
+from oracles import star_product_blocks, star_transfer
 
-from passivenet.core import StateSpaceSystem, io_equivalent, transfer_function
+from passivenet import core
+from passivenet.core import StateSpaceSystem, cascade_product, io_equivalent, transfer_function
 from passivenet.errors import (
+    DimensionMismatch,
     NotProperlyPassive,
     NotWellPosed,
     ResistanceMismatch,
@@ -163,6 +171,44 @@ class TestStarProduct:
             assert cert.margin <= 1e-9 * cert.test_matrix_norm
 
 
+class TestClosedLoop:
+    """The star product is one closure of its loop, ``core._closed_loop``."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           k=st.integers(0, 2), outer=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           well_conditioned=st.booleans())
+    def test_matches_component_formulas(self, seed, n, k, outer, well_conditioned):
+        m1, m2 = outer
+        assume(m1 + k >= 1 and k + m2 >= 1 and m1 + m2 >= 1)
+        rng = np.random.default_rng(seed)
+        p = random_system(rng, n[0], m1, k, well_conditioned)
+        q = random_system(rng, n[1], k, m2, well_conditioned)
+        if not well_posedness(p, q).well_posed:
+            # |D_p22 D_q11| <= 1/2 afterwards: a loop of condition at most 3
+            q = q.replace(D=0.5 * q.D / (np.linalg.norm(p.D, 2) * np.linalg.norm(q.D, 2)))
+        loop = np.block([[np.eye(k), -q.D[:k, :k]], [-p.D[m1:, m1:], np.eye(k)]])
+        kappa = np.linalg.cond(loop) if k else 1.0
+        scale = (1.0 + system_norm(p)) * (1.0 + system_norm(q))
+        assert_same_realisation(star_product(p, q), star_product_blocks(p, q), kappa, scale)
+
+    def test_both_products_close_one_loop(self, rng, monkeypatch):
+        calls = []
+        closed_loop = core._closed_loop
+
+        def counted(*args):
+            calls.append(args[-1])
+            return closed_loop(*args)
+
+        monkeypatch.setattr(core, "_closed_loop", counted)
+        p = random_system(rng, 3, 1, 1)
+        q = random_system(rng, 2, 1, 1)
+        q = q.replace(D=0.4 * q.D / np.linalg.norm(q.D, 2))
+        star_product(p, q)
+        cascade_product(p, q)
+        assert calls == [(1, 1), p.split]
+
+
 class TestStarViaChain:
     def test_agrees_with_direct(self, rng):
         hits = 0
@@ -198,6 +244,14 @@ class TestRegularize:
     def test_zero_epsilon_identity(self, rng):
         sys = random_conservative(rng, 3, 1, 1)
         assert regularize(sys, 0.0) is sys
+
+    @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -np.inf, -1e-3])
+    def test_epsilon_must_be_nonnegative_and_finite(self, rng, epsilon):
+        sys = random_conservative(rng, 3, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match="^epsilon must be nonnegative and finite"):
+                regularize(sys, epsilon)
 
     def test_pi_becomes_properly_passive(self):
         sys = regularize(pi_circuit_system(2.2e-9, 3.4e-9, 14e-6), 1e-3)

@@ -1,6 +1,8 @@
 """Special functions against the quadrature oracle, piston impedance limits,
 and the Loewner interpolation / realification / SVD-reduction chain."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,16 @@ class TestPistonImpedance:
     def test_zero_rejected(self):
         with pytest.raises(ZeroFrequency):
             piston_impedance(0.0, PISTON)
+
+    @pytest.mark.parametrize("name", ["a", "rho", "c"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_parameters_positive_and_finite(self, name, value):
+        # a = inf constructed with Z0 = 0 and gave Z = nan + nan j without a word
+        params = {"a": PISTON.a, "rho": PISTON.rho, "c": PISTON.c, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=f"^{name} must be positive and finite"):
+                PistonParams(**params)
 
     def test_positive_real_part_on_right_half_plane(self, rng):
         # passivity of the radiation load on a 100-point grid

@@ -76,6 +76,21 @@ class TestValidation:
         with pytest.raises(DimensionMismatch, match=f"{name} contains non-finite"):
             SecondOrderSystem(mats["M"], mats["P"], mats["K"], np.ones((2, 1)))
 
+    def test_zero_damping_needs_no_decomposition(self, rng, monkeypatch):
+        M, K = random_spd(rng, 3), random_spd(rng, 3, semidefinite=True)
+        eigh, sizes = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda X: sizes.append(len(X)) or eigh(X))
+        so = SecondOrderSystem(M, np.zeros((3, 3)), K, np.ones((3, 1)))
+        assert sizes == [3, 3]  # M and K only
+        np.testing.assert_array_equal(first_order_realization(so).A[3:, 3:], 0.0)
+        # the checks a zero P still gets, and a zero M is still no mass
+        with pytest.raises(DimensionMismatch, match="^P must be square"):
+            SecondOrderSystem(M, np.zeros((3, 2)), K, np.ones((3, 1)))
+        with pytest.raises(DimensionMismatch, match="must share one size"):
+            SecondOrderSystem(M, np.zeros((2, 2)), K, np.ones((3, 1)))
+        with pytest.raises(NotSPD, match="^M must be positive definite"):
+            SecondOrderSystem(np.zeros((3, 3)), np.zeros((3, 3)), K, np.ones((3, 1)))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_spd_sqrt_rejects_non_finite(self, value):
         with pytest.raises(DimensionMismatch, match="X contains non-finite"):

@@ -1,6 +1,7 @@
 """Time stepping, excitations, resonance extraction, frequency sweeps."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ from conftest import (
 
 
 class TestStepResponse:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["inputs", "x0"])
+    def test_non_finite_inputs_or_state_rejected(self, name, value):
+        phi = DiscreteSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)),
+                             np.zeros((1, 1)), sigma=1.0, split=(1, 0))
+        args = {"inputs": np.ones((6, 1)), "x0": np.ones(2)}
+        args[name][1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=f"^{name} contains non-finite"):
+                step_response(phi, args["inputs"], x0=args["x0"])
+
     def test_zero_input_zero_state(self):
         phi = DiscreteSystem(np.eye(2) * 0.5, np.ones((2, 1)), np.ones((1, 2)),
                              np.zeros((1, 1)), sigma=1.0, split=(1, 0))
@@ -208,6 +221,17 @@ class TestExcitations:
             log_sweep(spec)
         with pytest.raises(DimensionMismatch, match="must exceed start"):
             sweep_instant_frequency(spec, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("name", ["sample_rate", "duration", "f0"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_scalars_positive_and_finite(self, name, value):
+        # duration = inf used to raise a raw OverflowError from n_samples,
+        # and f0 = inf a ZeroDivisionError from the signal
+        fields = {"f0": 120.0, "duration": 0.1, "sample_rate": 8000.0, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=f"^{name} must be positive and finite"):
+                ExcitationSpec("LFPulseTrain", **fields)
 
     def test_impulse_and_dispatcher(self):
         spec = ExcitationSpec("Impulse", f0=1.0, duration=0.01, sample_rate=1000.0)
