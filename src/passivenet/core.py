@@ -191,23 +191,6 @@ class DiscreteSystem:
         return self.Dd.shape[0]
 
 
-@dataclass(frozen=True)
-class PortSignalFrame:
-    """One sample of the four port signals, widths matching a system split."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-
-    def check(self, split: tuple[int, int]) -> None:
-        m1, m2 = split
-        for name, vec, width in (("u1", self.u1, m1), ("u2", self.u2, m2),
-                                 ("y1", self.y1, m1), ("y2", self.y2, m2)):
-            if np.asarray(vec).reshape(-1).shape != (width,):
-                raise DimensionMismatch(f"{name} must have width {width}")
-
-
 def _condition(M: np.ndarray, scale: float | None = None) -> float:
     """scale / sigma_min(M) from one SVD; ``scale`` defaults to sigma_max
     (the 2-norm condition number).  inf for singular M, 1.0 for empty M."""
@@ -588,21 +571,35 @@ def system_to_json(sys: StateSpaceSystem | DiscreteSystem) -> dict:
 
 
 def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
-    """Parse a system from the JSON exchange format, naming bad fields."""
+    """Parse a system from the JSON exchange format, naming bad fields.
+
+    n, m1 and m2 are integers >= 0; each matrix is a list of rows of numbers
+    in its documented shape, or [] where that shape has size 0.
+    """
+    if not isinstance(obj, dict):
+        raise DimensionMismatch("system JSON must be an object")
     for key in ("n", "m1", "m2", *_SYSTEM_FIELDS):
         if key not in obj:
             raise DimensionMismatch(f"system JSON is missing field '{key}'")
-    n, m1, m2 = int(obj["n"]), int(obj["m1"]), int(obj["m2"])
+        if key in ("n", "m1", "m2") and (type(obj[key]) is not int or obj[key] < 0):
+            raise DimensionMismatch(f"field '{key}' must be an integer >= 0, got {obj[key]!r}")
+    n, m1, m2 = obj["n"], obj["m1"], obj["m2"]
     m = m1 + m2
-    mats = {}
-    for key, shape in zip(_SYSTEM_FIELDS, ((n, n), (n, m), (m, n), (m, m))):
-        arr = np.asarray(obj[key], dtype=float)
-        arr = arr.reshape(shape) if arr.size == np.prod(shape) and arr.shape != shape else arr
-        if arr.shape != shape:
-            raise DimensionMismatch(f"field '{key}' has shape {arr.shape}, expected {shape}")
-        mats[key] = arr
-    if "sigma" in obj and obj["sigma"] is not None:
-        return DiscreteSystem(mats["A"], mats["B"], mats["C"], mats["D"],
-                              sigma=float(obj["sigma"]), split=(m1, m2))
-    return StateSpaceSystem(mats["A"], mats["B"], mats["C"], mats["D"], split=(m1, m2))
-
+    number = (int, float)  # what JSON numbers parse to; type() keeps bool out
+    mats = []
+    for key, (rows, cols) in zip(_SYSTEM_FIELDS, ((n, n), (n, m), (m, n), (m, m))):
+        value = obj[key]
+        shaped = isinstance(value, list) and (
+            value == [] and rows * cols == 0
+            or len(value) == rows and all(isinstance(row, list) and len(row) == cols
+                                          and all(type(x) in number for x in row)
+                                          for row in value))
+        if not shaped:
+            raise DimensionMismatch(f"field '{key}' must be {rows} rows of {cols} numbers")
+        mats.append(np.array(value, dtype=float).reshape(rows, cols))
+    sigma = obj.get("sigma")
+    if sigma is None:
+        return StateSpaceSystem(*mats, split=(m1, m2))
+    if type(sigma) not in number:
+        raise DimensionMismatch(f"field 'sigma' must be a number, got {sigma!r}")
+    return DiscreteSystem(*mats, sigma=float(sigma), split=(m1, m2))

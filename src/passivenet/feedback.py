@@ -122,20 +122,20 @@ def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
     """Couple two impedance systems through their external Cayley transforms.
 
     The coupled channel must use one resistance block (Rp.R2 == Rq.R1
-    entrywise).  At least one of the (possibly eps-shifted) operands must be
-    properly impedance passive; that guarantees the scattering loop is
-    well-posed and the product scattering passive.  With ``impedance=True``
-    the result is transformed back to impedance form against
-    diag(Rp.R1, Rq.R2).
+    entrywise).  Only when neither operand is shifted (both eps 0) is one of
+    them required to be properly impedance passive (NotProperlyPassive
+    otherwise); with a shift nothing about passivity is checked here, and
+    the star product's well-posedness gate is the only check on the loop.
+    With ``impedance=True`` the result is transformed back to impedance form
+    against diag(Rp.R1, Rq.R2).
     """
     if Rp.R2.shape != Rq.R1.shape or not np.array_equal(Rp.R2, Rq.R1):
         raise ResistanceMismatch(
             "coupled-channel resistance blocks differ (Rp.R2 != Rq.R1)")
     p_sh = regularize(p_i, epsilon_p)
     q_sh = regularize(q_i, epsilon_q)
-    proper_p, _ = properly_impedance_passive(p_sh)
-    proper_q, _ = properly_impedance_passive(q_sh)
-    if not (proper_p or proper_q) and epsilon_p == 0.0 and epsilon_q == 0.0:
+    if epsilon_p == 0.0 and epsilon_q == 0.0 and not (
+            properly_impedance_passive(p_sh)[0] or properly_impedance_passive(q_sh)[0]):
         raise NotProperlyPassive(
             "neither operand is properly impedance passive and no "
             "regularisation was requested")

@@ -6,14 +6,16 @@ Two lossless LC pi-circuits (shunt C1, series L, shunt C2) are coupled back
 to back through shift-and-invert regularised external Cayley transforms and
 the Redheffer star product, giving a 6-state scattering model whose
 generator splits as A_eps = A(eps) + A'/eps with a rank-one symmetric A'.
-Assembling that matrix directly in floating point buries the slow dynamics
-under the 1/eps entries (relative damage ~ eps_machine / eps), so the
-pipeline also builds the product analytically in the basis that
-diagonalises A': the fast 1/eps mode then occupies a single diagonal entry
-and every other entry is O(1).  The analytic form doubles as the derivation
-of the minimal 5-state realisation: dropping the fast row and column at the
-eps -> 0 entry limits is exactly the printed minimal system, with the two
-coupled C2 capacitors merging into C3 = 2 C2.
+Every realisation comes from one exact product, ``_rotated_product``,
+written analytically in the basis that diagonalises A': the fast 1/eps mode
+occupies one diagonal entry and every other entry is O(1).  One exact
+Givens pair maps it to the printed basis, its inverse external Cayley
+transform is the impedance form, and at eps = 0, where the fast entry does
+not exist, the same formulas give the 5-state minimal realisation (the two
+coupled C2 capacitors merge into C3 = 2 C2).  The generic star product of
+the same operands buries the slow dynamics under the 1/eps entries in
+floating point (relative damage ~ eps_machine / eps), so no output uses
+it; at eps = 0 it is what rejects the unregularised loop (NotWellPosed).
 
 Waveguide
 ---------
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
 from .core import DiscreteSystem, StateSpaceSystem, _require_positive
-from .errors import DimensionMismatch, NearSpectrum, NotWellPosed
+from .errors import DimensionMismatch, NearSpectrum
 from .feedback import star_of_impedance_pair, star_product
 from .loewner import InterpolationScheme, PistonParams
 from .transforms import ResistanceMatrix, external_cayley, inverse_external_cayley
@@ -114,119 +116,97 @@ def pi_scattering_system(c1: float, c2: float, l1: float, r1: float, r2: float,
     return StateSpaceSystem(A, B, B.T.copy(), D, split=(1, 1))
 
 
-def _rotated_product(cfg: ButterworthConfig, epsilon: float,
-                     limit: bool = False) -> StateSpaceSystem:
+def _rotated_product(cfg: ButterworthConfig, epsilon: float) -> StateSpaceSystem:
     """Exact star product of the two regularised pi sections, rotated basis.
 
     State order (p1, p2, s, q2, q3, f): s and f are the symmetric and
     antisymmetric combinations of the two coupled C2 node states.  All the
     1/epsilon content sits in the single fast diagonal A[5, 5]; the slow
     5x5 block carries the physical ladder with 1/sqrt(L C3) couplings.
-    ``limit=True`` evaluates every entry at its epsilon -> 0 limit (the
-    extirpation source for the minimal realisation).
+    At epsilon = 0 the fast entry -1/(C2 eps) does not exist, and the result
+    is the slow 5x5 block of the same formulas: the eps -> 0 slow subsystem,
+    which is the minimal realisation.
     """
+    _require_positive(DimensionMismatch, ("epsilon",), epsilon=epsilon)
     c1, c2, l1, r0 = cfg.c1, cfg.c2, cfg.l1, cfg.r0
     w1 = 1.0 / math.sqrt(l1 * c1)
     w3 = 1.0 / math.sqrt(l1 * cfg.c3)  # = (1/sqrt(L C2)) / sqrt(2)
-    if limit:
-        g1 = 1.0 / (r0 * c1)
-        slow_d = 0.0
-        fast_d = 0.0  # the fast mode is removed at the limit, value unused
-        b1 = math.sqrt(2.0 / (r0 * c1))
-        d = -1.0
-    else:
-        if epsilon <= 0:
-            raise DimensionMismatch("rotated product needs epsilon > 0")
-        g1 = 1.0 / (c1 * (r0 + epsilon))
-        # exact coupled-corner algebra: the star coupling adds
-        # vhat [[d, 1], [1, d]] with vhat = b2^2 / Delta1 = 1/(2 C2 eps)
-        # on top of the diagonal -1/(C2 (R0+eps)); the symmetric (slow)
-        # combination cancels exactly and the antisymmetric (fast) one
-        # carries the whole -1/(C2 eps)
-        slow_d = 0.0
-        fast_d = -1.0 / (c2 * epsilon)
-        b1 = math.sqrt(2.0 * r0 / c1) / (r0 + epsilon)
-        d = (epsilon - r0) / (epsilon + r0)
+    g1 = 1.0 / (c1 * (r0 + epsilon))
+    b1 = math.sqrt(2.0 * r0 / c1) / (r0 + epsilon)
+    d = (epsilon - r0) / (epsilon + r0)
+    # exact coupled-corner algebra: the star coupling adds
+    # vhat [[d, 1], [1, d]] with vhat = b2^2 / Delta1 = 1/(2 C2 eps)
+    # on top of the diagonal -1/(C2 (R0+eps)); the symmetric (slow)
+    # combination cancels exactly and the antisymmetric (fast) one
+    # carries the whole -1/(C2 eps), which exists only for eps > 0
+    fast, n = (-1.0 / (c2 * epsilon), 6) if epsilon > 0 else (0.0, 5)
     A = np.array([
         [-g1, w1, 0.0, 0.0, 0.0, 0.0],
         [-w1, 0.0, w3, 0.0, 0.0, w3],
-        [0.0, -w3, slow_d, w3, 0.0, 0.0],
+        [0.0, -w3, 0.0, w3, 0.0, 0.0],
         [0.0, 0.0, -w3, 0.0, w1, w3],
         [0.0, 0.0, 0.0, -w1, -g1, 0.0],
-        [0.0, -w3, 0.0, -w3, 0.0, fast_d]])
-    B = np.zeros((6, 2))
+        [0.0, -w3, 0.0, -w3, 0.0, fast]])[:n, :n]
+    B = np.zeros((n, 2))
     B[0, 0] = b1
     B[4, 1] = b1
-    D = np.diag([d, d])
-    if limit:
-        keep = np.arange(5)
-        return StateSpaceSystem(A[np.ix_(keep, keep)], B[keep], B[keep].T.copy(),
-                                D, split=(1, 1))
-    return StateSpaceSystem(A, B, B.T.copy(), D, split=(1, 1))
+    return StateSpaceSystem(A, B, B.T.copy(), np.diag([d, d]), split=(1, 1))
 
 
 def minimal_butterworth(cfg: ButterworthConfig) -> StateSpaceSystem:
     """The 5-state minimal scattering realisation of the coupled ladder."""
-    return _rotated_product(cfg, cfg.epsilon, limit=True)
+    return _rotated_product(cfg, 0.0)
 
 
 @dataclass(frozen=True)
 class ButterworthModel:
     """All realisations the Butterworth pipeline produces."""
 
-    regularized: StateSpaceSystem        # star product, printed state basis
-    regularized_rotated: StateSpaceSystem  # same transfer, fast mode isolated
+    regularized: StateSpaceSystem        # the exact product, printed state basis
+    regularized_rotated: StateSpaceSystem  # the same product, fast mode isolated
     impedance: StateSpaceSystem          # impedance form of the coupled ladder
-    minimal: StateSpaceSystem            # 5-state limit realisation
+    minimal: StateSpaceSystem            # 5-state eps = 0 slow block
 
 
-def _unrotate(cfg: ButterworthConfig, rotated: StateSpaceSystem) -> StateSpaceSystem:
+def _unrotate(rotated: StateSpaceSystem) -> StateSpaceSystem:
     """Map the rotated product back to the printed state ordering.
 
     The exact Givens pair (s, f) -> (p3, q1) = ((s+f)/sqrt2, (s-f)/sqrt2)
     reconstitutes the +-1/(2 C2 eps) coupled corner without cancellation.
+    It is applied to rows and columns elementwise rather than as a matrix
+    product, so every structural zero stays exactly zero.
     """
     s2 = 1.0 / math.sqrt(2.0)
-    # columns of Q are the rotated basis vectors in printed coordinates
-    # printed order (p1, p2, p3, q1, q2, q3); rotated order (p1, p2, s, q2, q3, f)
-    Q = np.zeros((6, 6))
-    Q[0, 0] = 1.0
-    Q[1, 1] = 1.0
-    Q[2, 2] = s2   # p3 <- s
-    Q[3, 2] = s2   # q1 <- s
-    Q[2, 5] = s2   # p3 <- f
-    Q[3, 5] = -s2  # q1 <- f
-    Q[4, 3] = 1.0  # q2
-    Q[5, 4] = 1.0  # q3
-    return StateSpaceSystem(Q @ rotated.A @ Q.T, Q @ rotated.B,
-                            rotated.C @ Q.T, rotated.D, split=rotated.split)
+    # rotated order (p1, p2, s, q2, q3, f) -> (p1, p2, s, f, q2, q3), then the
+    # pair (s, f) becomes (p3, q1): printed order (p1, p2, p3, q1, q2, q3)
+    order = [0, 1, 2, 5, 3, 4, 6, 7]
+    S = np.block([[rotated.A, rotated.B], [rotated.C, rotated.D]])[np.ix_(order, order)]
+    for X in (S, S.T):  # rows, then columns through the transposed view
+        s, f = X[2].copy(), X[3].copy()
+        X[2], X[3] = s2 * (s + f), s2 * (s - f)
+    return StateSpaceSystem(S[:6, :6], S[:6, 6:], S[6:, :6], S[6:, 6:], split=rotated.split)
 
 
 def butterworth_compose(cfg: ButterworthConfig) -> ButterworthModel:
     """Couple the two regularised pi sections; see the module docstring.
 
-    ``regularized`` is the star product in the printed state basis.  It
-    comes from the generic star-product machinery whenever the regularised
-    loop passes the well-posedness gate; below that (eps under ~1e-11 R0,
-    where a double-precision Delta solve is meaningless anyway) it falls
-    back to the exact analytic assembly mapped into the same basis.
-    ``regularized_rotated`` is always the analytic form with the fast mode
-    isolated, and feeds the impedance recovery.
+    Every realisation comes from the one exact product
+    ``_rotated_product(cfg, eps)``: ``regularized_rotated`` is that product
+    with the fast mode isolated, ``regularized`` the same product in the
+    printed state basis (``_unrotate``), ``impedance`` its inverse external
+    Cayley transform and ``minimal`` its eps = 0 slow block.  The generic
+    star product is not assembled for eps > 0 (see the module docstring); at
+    eps = 0 it rejects the loop, raising NotWellPosed with its report.
     """
     R = ResistanceMatrix.scalars(cfg.r0, cfg.r0)
-    p_i = pi_circuit_system(cfg.c1, cfg.c2, cfg.l1)
-    q_i = pi_circuit_system(cfg.c2, cfg.c1, cfg.l1)
     if cfg.epsilon <= 0:
         # the unregularised loop has D = -I against D = -I: not well-posed
+        p_i = pi_circuit_system(cfg.c1, cfg.c2, cfg.l1)
+        q_i = pi_circuit_system(cfg.c2, cfg.c1, cfg.l1)
         star_product(external_cayley(p_i, R), external_cayley(q_i, R))  # raises NotWellPosed
     rotated = _rotated_product(cfg, cfg.epsilon)
-    try:
-        prod = star_of_impedance_pair(p_i, q_i, R, R,
-                                      epsilon_p=cfg.epsilon, epsilon_q=cfg.epsilon)
-    except NotWellPosed:
-        prod = _unrotate(cfg, rotated)
-    impedance = inverse_external_cayley(rotated, R)
-    return ButterworthModel(prod, rotated, impedance, minimal_butterworth(cfg))
+    return ButterworthModel(_unrotate(rotated), rotated, inverse_external_cayley(rotated, R),
+                            minimal_butterworth(cfg))
 
 
 def ladder_impedance_closed_form(cfg: ButterworthConfig, s: complex) -> np.ndarray:
@@ -249,9 +229,7 @@ def butterworth_sparams(cfg: ButterworthConfig, grid_hz) -> SParams:
 
     Raises NearSpectrum if any grid point is gated.
     """
-    sys = _rotated_product(cfg, cfg.epsilon) if cfg.epsilon > 0 \
-        else minimal_butterworth(cfg)
-    resp = simulate.frequency_response(sys, grid_hz)
+    resp = simulate.frequency_response(_rotated_product(cfg, cfg.epsilon), grid_hz)
     if not resp.ok.all():
         bad = resp.frequencies[~resp.ok]
         raise NearSpectrum(f"{bad.size} grid point(s) on the spectrum, first at {bad[0]} Hz")

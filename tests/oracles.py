@@ -165,6 +165,62 @@ def star_product_blocks(p, q):
     return StateSpaceSystem(A, B, C, D, split=(m1p, m2q))
 
 
+def butterworth_star_mp(cfg, dps: int = 50):
+    """The coupled Butterworth product in the printed state basis
+    (p1, p2, p3, q1, q2, q3), in mpmath at ``dps`` digits, from its
+    definition: each pi section in impedance form with feedthrough eps I,
+    its external Cayley transform at R0 on both ports, then the Redheffer
+    loop u2 = y~1, u~1 = y2 eliminated by its one scalar Delta.  Returns
+    the stacked [[A, B], [C, D]] (8 x 8) as an mpmath matrix."""
+    with mpmath.workdps(dps):
+        eps, r, l1 = (mpmath.mpf(v) for v in (cfg.epsilon, cfg.r0, cfg.l1))
+
+        def scattering(ca, cb):  # [[A, B], [C, D]] of the section C_a - L - C_b
+            ca, cb = mpmath.mpf(ca), mpmath.mpf(cb)
+            wa, wb = 1 / mpmath.sqrt(l1 * ca), 1 / mpmath.sqrt(l1 * cb)
+            A = mpmath.matrix([[0, wa, 0], [-wa, 0, wb], [0, -wb, 0]])
+            Bi = mpmath.matrix([[1 / mpmath.sqrt(ca), 0], [0, 0], [0, 1 / mpmath.sqrt(cb)]])
+            k = 1 / (eps + r)   # (D_i + R)^-1 for D_i = eps I, R = R0 I
+            S = mpmath.zeros(5, 5)
+            A, B = A - k * Bi * Bi.T, mpmath.sqrt(2 * r) * k * Bi
+            for i in range(3):
+                for j in range(3):
+                    S[i, j] = A[i, j]
+                for j in range(2):
+                    S[i, 3 + j] = S[3 + j, i] = B[i, j]   # C = B^T
+            S[3, 3] = S[4, 4] = 1 - 2 * r * k
+            return S
+
+        p, q = scattering(cfg.c1, cfg.c2), scattering(cfg.c2, cfg.c1)
+        # stacked order (x, z, u1, u~2); p's rows/cols 0-2 and 6, q's 3-5 and 7
+        ip, iq = [0, 1, 2, 6, None], [3, 4, 5, None, 7]
+        full = mpmath.zeros(8, 8)
+        for sys, idx in ((p, ip), (q, iq)):
+            for a in range(5):
+                for b in range(5):
+                    if idx[a] is not None and idx[b] is not None:
+                        full[idx[a], idx[b]] = sys[a, b]
+        delta = 1 - p[4, 4] * q[3, 3]
+        # u2 = (q row 3 + Dq11 * p row 4) / Delta, u~1 = (p row 4 + Dp22 * q row 3) / Delta,
+        # as rows over the stacked (x, z, u1, u~2)
+        p_row, q_row = mpmath.zeros(1, 8), mpmath.zeros(1, 8)
+        for a in range(5):
+            if ip[a] is not None:
+                p_row[ip[a]] = p[4, a]
+            if iq[a] is not None:
+                q_row[iq[a]] = q[3, a]
+        u2 = (q_row + q[3, 3] * p_row) / delta
+        uq1 = (p_row + p[4, 4] * q_row) / delta
+        for a in range(5):          # p's column for u2, q's column for u~1
+            if ip[a] is not None:
+                for b in range(8):
+                    full[ip[a], b] += p[a, 4] * u2[b]
+            if iq[a] is not None:
+                for b in range(8):
+                    full[iq[a], b] += q[a, 3] * uq1[b]
+        return full
+
+
 def cascade_product_blocks(p, q):
     """G_p(s) G_q(s) via the block upper-triangular realisation."""
     A = np.block([[p.A, p.B @ q.C],

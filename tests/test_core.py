@@ -415,16 +415,6 @@ class TestDiscreteValidation:
                            np.zeros((1, 1)), sigma=sigma)
 
 
-class TestPortSignalFrame:
-    def test_width_check(self):
-        from passivenet.core import PortSignalFrame
-        frame = PortSignalFrame(np.array([1.0]), np.array([2.0]),
-                                np.array([3.0]), np.array([4.0]))
-        frame.check((1, 1))
-        with pytest.raises(DimensionMismatch):
-            frame.check((2, 0))
-
-
 class TestJsonFormat:
     def test_round_trip_continuous(self, rng):
         sys = random_system(rng, 3, 1, 1)
@@ -439,6 +429,33 @@ class TestJsonFormat:
                              np.array([[0.0]]), sigma=100.0, split=(1, 0))
         back = system_from_json(system_to_json(phi))
         assert isinstance(back, DiscreteSystem) and back.sigma == 100.0
+
+    def test_round_trip_without_states(self):
+        # n = 0 writes [] for A and B and m empty rows for C
+        sys = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                               np.eye(2), split=(1, 1))
+        obj = json.loads(json.dumps(system_to_json(sys)))
+        assert obj["A"] == [] and obj["B"] == [] and obj["C"] == [[], []]
+        back = system_from_json(obj)
+        assert back.n == 0 and back.split == (1, 1) and back.B.shape == (0, 2)
+        assert np.array_equal(back.D, sys.D)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 2.5), ("n", "2"), ("n", -1), ("n", None), ("m1", True), ("m2", 1.0),
+        ("B", [["1", 0.0], [0.0, 1.0]]), ("D", [[0.0, False], [0.0, 0.0]]),
+        ("A", [0.0, 0.0, 0.0, 0.0]), ("A", []), ("A", [[0.0, 1.0], [-1.0]]),
+        ("C", [[1.0, 0.0]]), ("C", "[[1, 0], [0, 1]]"), ("sigma", "1"), ("sigma", True)])
+    def test_malformed_field_named(self, key, value):
+        obj = {"n": 2, "m1": 1, "m2": 1, "A": [[0.0, 1.0], [-1.0, 0.0]],
+               "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+               "D": [[0.0, 0.0], [0.0, 0.0]], key: value}
+        with pytest.raises(DimensionMismatch, match=f"'{key}'"):
+            system_from_json(obj)
+
+    @pytest.mark.parametrize("obj", [[], "system", None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(DimensionMismatch, match="must be an object"):
+            system_from_json(obj)
 
     def test_bad_field_named(self):
         obj = system_to_json(StateSpaceSystem(np.zeros((1, 1)), np.ones((1, 1)),
