@@ -24,13 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, feedback, pipelines, simulate, transforms, websterfem
-from .core import system_from_json, system_to_json, DiscreteSystem, StateSpaceSystem
-from .errors import DimensionMismatch, GateError, ParseError, PassiveNetError
+from .core import system_from_json, system_to_json, DiscreteSystem
+from .errors import GateError, ParseError, PassiveNetError
 from .passivity import (
     discrete_impedance_certificate,
     discrete_scattering_certificate,
     impedance_certificate,
-    scattering_conservative_check,
     scattering_passive_via_cayley,
 )
 
@@ -80,25 +79,17 @@ def _load_system(path: str):
 
 
 def cmd_check(args) -> int:
+    """The file's type picks continuous or discrete time, --kind the supply."""
     sys_obj = _load_system(args.system)
-    if args.kind == "impedance":
-        if not isinstance(sys_obj, StateSpaceSystem):
-            raise DimensionMismatch("impedance check needs a continuous system")
-        cert = impedance_certificate(sys_obj)
-    elif args.kind == "scattering":
-        if isinstance(sys_obj, DiscreteSystem):
-            cert = discrete_scattering_certificate(sys_obj)
-        elif args.conservative:
-            cert = scattering_conservative_check(sys_obj)
-        else:
-            # continuous scattering passivity has no direct LMI; decide it
-            # through the internal Cayley transform
-            cert = scattering_passive_via_cayley(sys_obj, args.sigma)
-    else:  # discrete
-        if isinstance(sys_obj, StateSpaceSystem):
-            sys_obj = transforms.internal_cayley(sys_obj, args.sigma)
-        cert = (discrete_impedance_certificate(sys_obj) if args.impedance
+    if isinstance(sys_obj, DiscreteSystem):
+        cert = (discrete_impedance_certificate(sys_obj) if args.kind == "impedance"
                 else discrete_scattering_certificate(sys_obj))
+    elif args.kind == "impedance":
+        cert = impedance_certificate(sys_obj)
+    else:
+        # continuous scattering passivity has no direct LMI; decide it
+        # through the internal Cayley transform
+        cert = scattering_passive_via_cayley(sys_obj, args.sigma)
     print(json.dumps(cert.to_json()))
     return 0 if cert.passive else 2
 
@@ -247,21 +238,21 @@ def cmd_waveguide(args) -> int:
     return _run_pipeline(args, pipelines.WaveguideConfig, {"area_csv": str}, compute)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1: 2 means "not passive"
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="passivenet",
-                                 description="passive system composition toolkit")
+    ap = _Parser(prog="passivenet", description="passive system composition toolkit")
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="certify passivity of a system file")
     p.add_argument("system")
-    p.add_argument("--kind", choices=("impedance", "scattering", "discrete"),
-                   default="impedance")
-    p.add_argument("--conservative", action="store_true",
-                   help="scattering: run the conservativity residual check")
-    p.add_argument("--impedance", action="store_true",
-                   help="discrete: use the impedance test instead of scattering")
-    p.add_argument("--sigma", type=float, default=88200.0)
+    p.add_argument("--kind", choices=("impedance", "scattering"), default="impedance")
+    p.add_argument("--sigma", type=float, default=88200.0,
+                   help="continuous scattering: the Cayley parameter of the test")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("transform", help="apply a representation change")

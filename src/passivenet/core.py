@@ -11,6 +11,7 @@ never by an explicit inverse.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -216,6 +217,38 @@ def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
     return np.linalg.inv(M)
 
 
+@functools.lru_cache(maxsize=8)
+def _gate_probes(n: int) -> np.ndarray:
+    """The near-spectrum gate's two seeded unit probes of size n (read-only
+    n x 2), built once per size."""
+    rng = np.random.default_rng(0x5EED)
+    probes = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
+    probes = np.stack([y / np.linalg.norm(y) for y in probes], axis=1)
+    probes.flags.writeable = False
+    return probes
+
+
+def _near_spectrum_gate(norms: np.ndarray, rows: np.ndarray):
+    """The near-spectrum gate of the resolvent plan and the banded sweep:
+    (sigma, scale, ok) from the norms of the probes' solutions and their
+    inverse-power steps (last axis) and the matrix's row maxima (axis 0).
+
+    sigma estimates sigma_min as 1 / the largest norm, and reads 0 where a
+    solve is not finite; scale is the median row max; ok is sigma >=
+    RCOND_FLOOR * scale, with RCOND_FLOOR read at call time.  The median
+    row scale rather than sigma_max keeps the gate meaningful for stiff
+    systems, where one huge decoupled mode would otherwise condemn every
+    point.
+    """
+    inv_norm = norms.max(axis=-1)
+    sigma = np.where(np.isnan(inv_norm), 0.0, 1.0 / inv_norm)
+    n = rows.shape[0]
+    # the median, as np.median takes it but cheaper
+    mid = np.partition(rows, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2:n // 2 + 1]
+    scale = mid.sum(axis=0) / mid.shape[0]
+    return sigma, scale, np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
+
+
 #: Points per round of a resolvent plan: no point's solve depends on its
 #: chunk-mates, so it bounds the working set and the width of every product.
 #: Of 32 to 512, 128 was about the fastest on the 412-state composite and the
@@ -253,11 +286,8 @@ class _ResolventPlan:
     the point is solved again by an LU of the row- and column-equilibrated
     sI - A, with the same probes and refinement; see _BERR_LIMIT.
 
-    Each point is gated: sigma_min(sI - A), estimated by two fixed
-    inverse-power probes, must reach RCOND_FLOOR times the median row max
-    of |sI - A|.  Measuring against the *median* row scale rather than
-    sigma_max keeps the gate meaningful for stiff systems, where one huge
-    decoupled mode would otherwise condemn every point.
+    Each point is gated by _near_spectrum_gate on sI - A, with the probes
+    solved beside B.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
@@ -282,12 +312,7 @@ class _ResolventPlan:
         self._offdiag = np.abs(A)
         np.fill_diagonal(self._offdiag, 0.0)
         self._offdiag_rowmax = self._offdiag.max(axis=1)
-        probe_rng = np.random.default_rng(0x5EED)
-        probes = []
-        for _ in range(2):
-            y = probe_rng.standard_normal(n) + 1j * probe_rng.standard_normal(n)
-            probes.append(y / np.linalg.norm(y))
-        self._probes = np.stack(probes, axis=1)
+        self._probes = _gate_probes(n)
         # every full chunk starts from the same right-hand sides
         self._full_round1 = self._round1(_PLAN_CHUNK)
 
@@ -331,11 +356,11 @@ class _ResolventPlan:
         return Y - (shifts * X - AX)
 
     def _chunk(self, s: np.ndarray, solve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values, sigma_min estimates and whether the componentwise
-        backward error is at most _BERR_LIMIT, at the points s, all clear
-        of a zero row; ``solve(shifts, Y)`` applies (shifts[j] I - A)^-1 to
-        the columns of Y.  A point whose solve is not finite gets sigma 0
-        and fails the backward-error test."""
+        """Values, the gate's probe norms (k x 2) and whether the
+        componentwise backward error is at most _BERR_LIMIT, at the points
+        s, all clear of a zero row; ``solve(shifts, Y)`` applies
+        (shifts[j] I - A)^-1 to the columns of Y.  A point whose solve is
+        not finite fails the backward-error test."""
         m = self.B.shape[1]
         k = s.size
         Y = self._full_round1
@@ -354,15 +379,14 @@ class _ResolventPlan:
         X = X + sol[:, :k * m]
         norm2 = np.linalg.norm(sol[:, k * m:], axis=0)
         X = X + solve(shifts, self._residual(shifts, rhs, X))
-        inv_norm = np.maximum(norm1, norm2).reshape(k, 2).max(axis=1)
-        sigma = np.where(np.isnan(inv_norm), 0.0, 1.0 / inv_norm)
         absX = np.abs(X)
         bound = (np.abs(rhs) + self._offdiag @ absX
                  + np.abs(shifts - self._diag[:, None]) * absX)
         # NaN compares False, so a non-finite solution never converges
         converged = np.abs(self._residual(shifts, rhs, X)) <= _BERR_LIMIT * bound
         values = self.D + (self.C @ X).reshape(m, k, m).transpose(1, 0, 2)
-        return values, sigma, converged.all(axis=0).reshape(k, m).all(axis=1)
+        return (values, np.maximum(norm1, norm2).reshape(k, 2),
+                converged.all(axis=0).reshape(k, m).all(axis=1))
 
     def evaluate(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(values, ok, sigma_min estimate, row scale) at each point; values
@@ -370,25 +394,23 @@ class _ResolventPlan:
         s = np.asarray(points, dtype=complex).reshape(-1)
         n, m = self.A.shape[0], self.D.shape[0]
         values = np.full((s.size, m, m), np.nan, dtype=complex)
-        sigma, scale = np.zeros(s.size), np.zeros(s.size)
+        norms = np.full((s.size, 2), np.nan)  # a point left unsolved reads sigma 0
+        sigma, scale, ok = np.zeros(s.size), np.zeros(s.size), np.ones(s.size, dtype=bool)
         if n == 0:
             values[:] = self.D
-            return values, np.ones(s.size, dtype=bool), np.full(s.size, np.inf), scale
+            return values, ok, np.full(s.size, np.inf), scale
         with np.errstate(all="ignore"):
             for lo in range(0, s.size, _PLAN_CHUNK):
                 part = np.arange(lo, min(lo + _PLAN_CHUNK, s.size))
+                # |sI - A| row maxima
                 rows = np.maximum(self._offdiag_rowmax[:, None],
                                   np.abs(s[part] - self._diag[:, None]))
-                # the median row scale, as np.median takes it but cheaper
-                mid = np.partition(rows, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2:n // 2 + 1]
-                scale[part] = mid.sum(axis=0) / mid.shape[0]
                 live = part[(rows.min(axis=0) > 0) & np.isfinite(rows).all(axis=0)]
-                if not live.size:
-                    continue
-                values[live], sigma[live], converged = self._chunk(s[live], self._solve)
-                for p in live[~converged]:
-                    values[[p]], sigma[[p]], _ = self._chunk(s[[p]], self._dense_solver(s[p]))
-            ok = np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
+                if live.size:
+                    values[live], norms[live], converged = self._chunk(s[live], self._solve)
+                    for p in live[~converged]:
+                        values[[p]], norms[[p]], _ = self._chunk(s[[p]], self._dense_solver(s[p]))
+                sigma[part], scale[part], ok[part] = _near_spectrum_gate(norms[part], rows)
         values[~ok] = np.nan
         return values, ok, sigma, scale
 
@@ -403,8 +425,11 @@ class _ResolventPlan:
 
 def transfer_function(sys: StateSpaceSystem, s: complex) -> np.ndarray:
     """Evaluate G(s) = D + C (sI - A)^-1 B through a resolvent plan; raise
-    NearSpectrum when s sits on the spectrum of A."""
+    NearSpectrum when s sits on the spectrum of A, DimensionMismatch if s is
+    not finite."""
     s = complex(s)
+    if not np.isfinite(s):
+        raise DimensionMismatch(f"s={s} is not finite")
     return _ResolventPlan(sys.A, sys.B, sys.C, sys.D).at(
         s, f"s={s} is numerically on the spectrum of A")
 
@@ -417,14 +442,18 @@ def discrete_transfer_function(phi: DiscreteSystem, z: complex) -> np.ndarray:
     internal Cayley transform satisfies D(z) = G(sigma (1-z)/(1+z)).
     Since I - z Ad = z (z^-1 I - Ad), D(z) = Dd + Cd (z^-1 I - Ad)^-1 Bd is
     evaluated by the resolvent plan of Ad at z^-1; the gate's ratio of
-    sigma_min to row scale is the same for both matrices.
+    sigma_min to row scale is the same for both matrices.  An infinite z is
+    evaluated at z^-1 = 0; a NaN raises DimensionMismatch.
     """
     z = complex(z)
+    if np.isnan(z):
+        raise DimensionMismatch(f"z={z} is not a number")
     if abs(z) * np.finfo(float).max < 1.0:
         # z = 0, or so small that z^-1 overflows: D(z) is Dd to within z
         return phi.Dd.astype(complex)
     return _ResolventPlan(phi.Ad, phi.Bd, phi.Cd, phi.Dd).at(
-        1.0 / z, f"z={z}: I - z Ad is numerically singular (measured on z^-1 I - Ad)")
+        0j if np.isinf(z) else 1.0 / z,
+        f"z={z}: I - z Ad is numerically singular (measured on z^-1 I - Ad)")
 
 
 def scalar_multiple(c: float, sys: StateSpaceSystem) -> StateSpaceSystem:
@@ -488,31 +517,19 @@ def _stacked_rank(blocks: list[np.ndarray]) -> int:
     # normalising each power block rescales columns only, which preserves the
     # span; without it physical systems (|A| ~ 1e7) grade the Kalman matrix
     # across dozens of decades and the SVD cut sees nothing past A B
-    scaled = []
-    for blk in blocks:
-        nrm = np.linalg.norm(blk)
-        scaled.append(blk / nrm if nrm > 0 else blk)
-    M = np.hstack(scaled) if scaled else np.zeros((0, 0))
-    if M.size == 0:
-        return 0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))
+    scaled = [blk / nrm if (nrm := np.linalg.norm(blk)) > 0 else blk for blk in blocks]
+    sv = np.linalg.svd(np.hstack(scaled), compute_uv=False)
+    return int(np.count_nonzero(sv > RANK_RTOL * sv[0]))  # 0 for an all-zero stack
 
 
 def minimality(sys: StateSpaceSystem) -> tuple[int, int, bool]:
     """Kalman ranks (controllability, observability) and the minimality flag."""
     n = sys.n
-    ctrb, obsv = [], []
-    Bk, Ck = sys.B, sys.C
-    for _ in range(max(n, 1)):
-        ctrb.append(Bk)
-        obsv.append(Ck.T)
-        Bk = sys.A @ Bk
-        Ck = Ck @ sys.A
-    rc = _stacked_rank(ctrb) if n else 0
-    ro = _stacked_rank(obsv) if n else 0
+    ctrb, obsv = [sys.B], [sys.C]
+    for _ in range(n - 1):
+        ctrb.append(sys.A @ ctrb[-1])
+        obsv.append(obsv[-1] @ sys.A)
+    rc, ro = (_stacked_rank(blocks) if n else 0 for blocks in (ctrb, [Ck.T for Ck in obsv]))
     return rc, ro, (rc == n and ro == n)
 
 
@@ -558,16 +575,11 @@ _SYSTEM_FIELDS = ("A", "B", "C", "D")
 
 def system_to_json(sys: StateSpaceSystem | DiscreteSystem) -> dict:
     """Serialise a system to the shared JSON exchange format."""
-    if isinstance(sys, DiscreteSystem):
-        mats = dict(zip(_SYSTEM_FIELDS, (sys.Ad, sys.Bd, sys.Cd, sys.Dd)))
-        extra = {"sigma": sys.sigma}
-    else:
-        mats = dict(zip(_SYSTEM_FIELDS, (sys.A, sys.B, sys.C, sys.D)))
-        extra = {}
+    discrete = isinstance(sys, DiscreteSystem)
+    mats = (sys.Ad, sys.Bd, sys.Cd, sys.Dd) if discrete else (sys.A, sys.B, sys.C, sys.D)
     out = {"n": sys.n, "m1": sys.split[0], "m2": sys.split[1]}
-    out.update({k: np.asarray(v).tolist() for k, v in mats.items()})
-    out.update(extra)
-    return out
+    out.update({k: np.asarray(v).tolist() for k, v in zip(_SYSTEM_FIELDS, mats)})
+    return {**out, "sigma": sys.sigma} if discrete else out
 
 
 def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:

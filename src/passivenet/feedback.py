@@ -19,7 +19,7 @@ impedance passivity and with it a well-posed scattering loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,10 +46,7 @@ class WellPosednessReport:
     well_posed: bool
 
     def to_json(self) -> dict:
-        return {"delta1_condition": self.delta1_condition,
-                "delta2_condition": self.delta2_condition,
-                "norm_sum": self.norm_sum,
-                "well_posed": self.well_posed}
+        return asdict(self)
 
 
 def well_posedness(p: StateSpaceSystem, q: StateSpaceSystem) -> WellPosednessReport:

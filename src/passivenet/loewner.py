@@ -289,9 +289,8 @@ def loewner_matrices(scheme: InterpolationScheme, values_mu: np.ndarray,
     vl = np.asarray(values_lam, dtype=complex).reshape(-1)
     if vm.size != mu.size or vl.size != lam.size:
         raise DimensionMismatch("sample counts do not match the scheme")
+    # the scheme keeps mu and lambda disjoint, so no denominator vanishes
     denom = mu[:, None] - lam[None, :]
-    if np.any(denom == 0):
-        raise CoincidentPoints("mu and lambda share a point")
     L = (vm[:, None] - vl[None, :]) / denom
     M = (mu[:, None] * vm[:, None] - lam[None, :] * vl[None, :]) / denom
     return DescriptorInterpolant(L, M, vm.copy(), vl.copy(), is_real=False)
@@ -318,9 +317,8 @@ def realify(interp: DescriptorInterpolant) -> DescriptorInterpolant:
     Mr = J.conj().T @ interp.M_mat @ J
     br = J.conj().T @ interp.b
     cr = interp.c @ J
-    scale = max(np.abs(Lr).max(), np.abs(Mr).max(), np.abs(br).max(), np.abs(cr).max())
-    resid = max(np.abs(Lr.imag).max(), np.abs(Mr.imag).max(),
-                np.abs(br.imag).max(), np.abs(cr.imag).max())
+    scale = max(np.abs(X).max() for X in (Lr, Mr, br, cr))
+    resid = max(np.abs(X.imag).max() for X in (Lr, Mr, br, cr))
     if resid > 1e-12 * (1.0 + scale):
         raise PairingViolation(
             f"imaginary residue {resid:.3e} after rotation; data is not conjugate-symmetric")
@@ -374,7 +372,8 @@ def default_scheme(p: PistonParams, m: int, seed: int, square: float = 3e5,
     left half-plane.  ``anchor_band = (lo, hi)`` adds _ANCHOR_PAIRS
     log-spaced pairs hugging the imaginary axis above the square; coupling
     a waveguide whose modes extend past the square needs those anchors to
-    keep the reduced load resistive there.  Deterministic for a given seed.
+    keep the reduced load resistive there; m must hold every minimum and
+    anchor pair (DimensionMismatch otherwise).  Deterministic for a given seed.
     """
     if m % 2 != 0 or m < 4:
         raise DimensionMismatch(f"m must be even and >= 4, got {m}")
@@ -390,12 +389,14 @@ def default_scheme(p: PistonParams, m: int, seed: int, square: float = 3e5,
         lo, hi = anchor_band
         for w in np.geomspace(max(lo, square * 1.05), hi, _ANCHOR_PAIRS):
             pts.append(complex(-0.01 * square, w))
-    n_pairs = m  # m points per family = m total pairs across both families
-    while len(pts) < n_pairs:
+    if len(pts) > m:  # m points per family = m pairs across both families
+        raise DimensionMismatch(f"m={m} cannot hold the {len(pts)} |Z|-minimum and "
+                                f"anchor pairs; need m >= {len(pts) + len(pts) % 2}")
+    while len(pts) < m:
         pts.append(complex(-rng.uniform(1e-3, 1.0) * square,
                            rng.uniform(1e-3, 1.0) * square))
-    pairs = np.empty((n_pairs, 2), dtype=complex)
-    pairs[:, 0] = np.array(pts[:n_pairs])
+    pairs = np.empty((m, 2), dtype=complex)
+    pairs[:, 0] = np.array(pts)
     pairs[:, 1] = np.conj(pairs[:, 0])
     mu = pairs[0::2].reshape(-1)
     lam = pairs[1::2].reshape(-1)

@@ -188,8 +188,8 @@ class ResistanceMatrix:
                                      definite=True)
             roots.append(_sqrt_of(w, V))
             _freeze(self, **{name: M})
-        # R^1/2 from the check's eigenpairs, kept for every Cayley step
-        _freeze(self, _sqrt=scipy.linalg.block_diag(*roots))
+        # sqrt = R^1/2 from the check's eigenpairs, kept for every Cayley step
+        _freeze(self, sqrt=scipy.linalg.block_diag(*roots))
 
     @classmethod
     def scalars(cls, r1: float, r2: float | None = None) -> "ResistanceMatrix":
@@ -203,10 +203,6 @@ class ResistanceMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return scipy.linalg.block_diag(self.R1, self.R2)
-
-    @property
-    def sqrt(self) -> np.ndarray:
-        return self._sqrt
 
 
 def _external(sys: StateSpaceSystem, R: ResistanceMatrix, shifted, sign: float,

@@ -13,7 +13,7 @@ n+1..2n-1 are the derivative DOFs of interior nodes 1..n-1.  The input
 matrix F selects the endpoint values, i.e. rows 0 and n.  Interleaved by
 node (v0, v1, d1, ..., v_{n-1}, d_{n-1}, v_n) each element couples four
 consecutive DOFs, so M and K have bandwidth 3; the terminated solve works
-in that order, on LAPACK band storage.
+in that order, on LAPACK band storage, gated like every resolvent evaluation.
 
 The mesh is equidistant.  Geometry arrives as a piecewise-linear area
 function sampled at its own nodes, independent of the FEM subdivision;
@@ -23,14 +23,13 @@ degree <= 9, which covers the mass integrand with piecewise-linear area).
 
 from __future__ import annotations
 
-import io
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from . import core
 from .core import StateSpaceSystem, _freeze
@@ -94,23 +93,26 @@ def _band_storage(A: np.ndarray, k: int) -> np.ndarray:
 
 
 def _gated_band_solve(ab: np.ndarray, rhs: np.ndarray, k: int) -> Optional[np.ndarray]:
-    """x with A x = rhs for the band-stored A (``_band_storage`` layout, k
-    sub- and super-diagonals; overwritten), or None where the gate fires.
-
-    The gate: zgbtrf must meet no zero pivot, and zgbcon's estimate of the
-    factor's 1-norm reciprocal condition must reach core.RCOND_FLOOR, read
-    at call time.
+    """x with A x = rhs (one column) for the band-stored complex symmetric A
+    (``_band_storage`` layout, k sub- and super-diagonals; overwritten), or
+    None where ``core._near_spectrum_gate`` fires: the probes are solved
+    with rhs by the same zgbtrf factor, one more zgbtrs takes their
+    inverse-power step, and A's column maxima, read off the band storage,
+    are its row maxima.  A non-finite entry or an exactly zero pivot fails
+    unsolved.
     """
-    anorm = np.abs(ab).sum(axis=0).max()
-    if not np.isfinite(anorm):
+    rows = np.abs(ab).max(axis=0)
+    if not np.isfinite(rows).all():
         return None
     lu, piv, info = zgbtrf(ab, k, k, overwrite_ab=True)
     if info != 0:
         return None
-    rcond, _ = zgbcon(k, k, lu, piv, anorm)
-    if not rcond >= core.RCOND_FLOOR:
-        return None
-    return zgbtrs(lu, k, k, rhs, piv)[0][:, 0]
+    with np.errstate(all="ignore"):
+        x = zgbtrs(lu, k, k, np.hstack([rhs, core._gate_probes(ab.shape[1])]), piv)[0]
+        norm1 = np.linalg.norm(x[:, 1:], axis=0)
+        norm2 = np.linalg.norm(zgbtrs(lu, k, k, x[:, 1:] / norm1, piv)[0], axis=0)
+        ok = core._near_spectrum_gate(np.maximum(norm1, norm2), rows)[2]
+    return x[:, 0] if ok else None
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,9 @@ class WaveguideModel:
         banded pencil (s^2 M + K + rho s Y(s) e_mouth e_mouth^T) w = e_glottis
         and returns (rho s w_glottis, ok).  The pencil never inverts the
         lossless tube on its own, so the tube's own resonances are ordinary
-        points.  ``ok`` is the band gate of ``_gated_band_solve``; a point
-        whose s or Y is not finite is gated without being solved.
+        points.  ``ok`` is ``core._near_spectrum_gate`` on the pencil (see
+        ``_gated_band_solve``); a point whose s or Y is not finite is gated
+        without being solved.
         """
         s = np.asarray(points, dtype=complex).reshape(-1)
         Y = np.asarray(admittance, dtype=complex).reshape(-1)
@@ -277,11 +280,8 @@ def load_area_csv(path_or_file) -> AreaFunction:
 
 def save_area_csv(path_or_file, area: AreaFunction) -> None:
     """Write an area CSV that load_area_csv reads back bit-identically."""
-    buf = io.StringIO()
-    buf.write(_HEADER + "\n")
-    for x, a in zip(area.nodes, area.areas):
-        buf.write(f"{float(x)!r},{float(a)!r}\n")
-    text = buf.getvalue()
+    text = "".join([_HEADER + "\n"] + [f"{float(x)!r},{float(a)!r}\n"
+                                        for x, a in zip(area.nodes, area.areas)])
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:

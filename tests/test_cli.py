@@ -62,18 +62,61 @@ class TestCheck:
         assert proc.returncode == 2
 
     def test_discrete_and_scattering_kinds(self, pi_json, tmp_path):
-        # continuous system under --kind discrete goes through the Cayley
-        # transform first; the conservative circuit stays conservative
-        proc = run_cli(["check", pi_json, "--kind", "discrete", "--impedance",
-                        "--sigma", "88200"])
+        # the file's own type picks the time axis: the Cayley transform of
+        # the conservative circuit is checked in discrete time and stays
+        # conservative; the scattering form passes in both time axes
+        disc = str(tmp_path / "disc.json")
+        proc = run_cli(["transform", pi_json, "--op", "cayley", "--sigma", "88200", "-o", disc])
+        assert proc.returncode == 0
+        proc = run_cli(["check", disc, "--kind", "impedance"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "Conservative"
         scat = pi_scattering_system(2.2e-9, 3.4e-9, 14e-6, 50.0, 50.0)
         path = write_system(tmp_path / "scat.json", scat)
-        proc = run_cli(["check", path, "--kind", "scattering", "--conservative"])
-        assert proc.returncode == 0
         proc = run_cli(["check", path, "--kind", "scattering"])
         assert proc.returncode == 0
+        assert run_cli(["transform", path, "--op", "cayley", "-o", disc]).returncode == 0
+        proc = run_cli(["check", disc, "--kind", "scattering"])
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("kind", ["impedance", "scattering"])
+    def test_same_question_same_verdict_in_both_time_axes(self, tmp_path, kind):
+        # G(s) = 1/2 + (1/4)/(s + 1) is strictly passive under either supply
+        from passivenet.core import StateSpaceSystem
+        sys_obj = StateSpaceSystem(-np.eye(1), np.full((1, 1), 0.5), np.full((1, 1), 0.5),
+                                   np.full((1, 1), 0.5), split=(1, 0))
+        path = write_system(tmp_path / "g.json", sys_obj)
+        disc = str(tmp_path / "gd.json")
+        assert run_cli(["transform", path, "--op", "cayley", "-o", disc]).returncode == 0
+        for f in (path, disc):
+            proc = run_cli(["check", f, "--kind", kind])
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["verdict"] == "StrictlyPassive"
+
+
+class TestUsage:
+    """argparse usage errors exit 1 (2 is "not passive"); --help and
+    --version exit 0."""
+
+    @pytest.mark.parametrize("args", [
+        ["check", "f.json", "--kind", "bogus"],
+        ["check", "f.json", "--sigma", "abc"],
+        ["check", "f.json", "--kind", "discrete"],
+        ["check", "f.json", "--conservative"],
+        ["check", "f.json", "--impedance"],
+        ["check"],
+        [],
+    ])
+    def test_usage_error_exits_one(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage:") and "error:" in proc.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["check", "--help"]])
+    def test_help_and_version_exit_zero(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 0
+        assert proc.stdout
 
 
 def _pole_at(tmp_path, sigma):

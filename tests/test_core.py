@@ -73,6 +73,16 @@ class TestTransferFunction:
         with pytest.raises(NearSpectrum):
             transfer_function(sys, 1.0 + 1e-15)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                   complex(0.0, np.inf)])
+    def test_non_finite_point_is_a_usage_error(self, rng, s):
+        # not a gate verdict: the point names itself; a sweep still flags it
+        sys = random_system(rng, 3, 1, 1)
+        with pytest.raises(DimensionMismatch, match=r"s=.*(nan|inf).* is not finite"):
+            transfer_function(sys, s)
+        values, ok = sys.transfer_values([1.0j, s])
+        assert ok.tolist() == [True, False] and np.isnan(values[1]).all()
+
 
 class TestResolventPlan:
     """Sweeps and single points against a row-equilibrated dense solve."""
@@ -214,6 +224,20 @@ class TestDiscreteTransfer:
             Gc = transfer_dense(sys, 3.0 * (1 - z) / (1 + z))
             assert np.abs(got - Gc).max() <= 1e-9 * np.abs(Gc).max()
 
+    def test_non_finite_point_is_a_usage_error(self, rng):
+        phi = internal_cayley(random_system(rng, 3, 1, 1), 2.0)
+        for z in (np.nan, complex(0.0, np.nan), complex(np.inf, np.nan)):
+            with pytest.raises(DimensionMismatch, match="z=.*nan.* is not a number"):
+                discrete_transfer_function(phi, z)
+
+    def test_infinite_point_is_the_limit_at_zero_inverse(self, rng):
+        # D(z) = Dd + Cd (z^-1 I - Ad)^-1 Bd tends to Dd - Cd Ad^-1 Bd
+        phi = internal_cayley(random_system(rng, 3, 1, 1), 2.0)
+        want = phi.Dd - phi.Cd @ np.linalg.solve(phi.Ad, phi.Bd)
+        for z in (np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.inf)):
+            got = discrete_transfer_function(phi, z)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_singular_point_rejected(self):
         phi = DiscreteSystem(np.diag([0.5, 2.0]), np.ones((2, 1)), np.ones((1, 2)),
                              np.zeros((1, 1)), sigma=1.0, split=(1, 0))
@@ -328,7 +352,10 @@ class TestMinimality:
         sys = StateSpaceSystem(np.zeros((1, 1)), np.zeros((1, 2)),
                                np.zeros((2, 1)), np.zeros((2, 2)), split=(1, 1))
         rc, ro, minimal = minimality(sys)
-        assert rc == 0 and not minimal
+        assert rc == 0 and ro == 0 and not minimal
+        feedthrough = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
+                                       np.eye(1), split=(1, 0))
+        assert minimality(feedthrough) == (0, 0, True)
 
     def test_duplicated_poles_not_minimal(self, rng):
         p = random_system(rng, 3, 1, 1)

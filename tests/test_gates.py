@@ -208,10 +208,12 @@ def test_twice_limit_raises_and_names_block(site, limit, exc, block):
 
 
 def banded(cond):
-    # one band-stored pencil diag(1, 1/cond): zgbcon's 1-norm estimate is
-    # exact for a diagonal, so its reciprocal condition is 1/cond
-    pencil = _band_storage(_graded(cond).astype(complex), 1)
-    return _gated_band_solve(pencil, np.ones((2, 1), dtype=complex), 1) is not None
+    # the band-stored pencil diag(1, 1, 1/cond), under the resolvent gate:
+    # its median row max is exactly 1, and the probe estimate of sigma_min
+    # is 1/cond to within roundoff, so the measure is 1/cond (diag(1, 1/cond)
+    # would sit on the boundary, with median row max (1 + 1/cond) / 2)
+    pencil = _band_storage(np.diag([1.0, 1.0, 1.0 / cond]).astype(complex), 1)
+    return _gated_band_solve(pencil, np.ones((3, 1), dtype=complex), 1) is not None
 
 
 # sweep gates flag the point instead of raising: site(cond) returns its ok flag

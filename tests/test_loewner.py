@@ -257,6 +257,18 @@ class TestDefaultScheme:
         c = default_scheme(PISTON, m=20, seed=8)
         assert not np.array_equal(a.mu, c.mu)
 
+    def test_small_m_cannot_drop_anchor_pairs(self):
+        # one |Z| minimum and 8 anchors need m >= 10 (even); larger m keeps
+        # every anchor, exactly where it was placed
+        band = (3.15e5, 2e6)
+        with pytest.raises(DimensionMismatch, match=r"m=6 cannot hold the 9 .*need m >= 10"):
+            default_scheme(PISTON, m=6, seed=1, anchor_band=band)
+        anchors = [complex(-0.01 * 3e5, w) for w in np.geomspace(*band, 8)]
+        for m in (10, 80, 150):
+            sch = default_scheme(PISTON, m=m, seed=2024, anchor_band=band)
+            placed = set(np.concatenate([sch.mu, sch.lam]).tolist())
+            assert sch.m == m and set(anchors) <= placed
+
     def test_scheme_json_round_trip(self):
         sch = default_scheme(PISTON, m=12, seed=5)
         back = InterpolationScheme.from_json(sch.to_json())

@@ -205,6 +205,17 @@ class TestAssembly:
             with pytest.raises(BadGeometry, match=match):
                 assemble(uniform(), n, c, rho)
 
+    def test_closed_tube_is_flagged_at_its_eigenfrequencies(self):
+        # with Y = 0 the pencil is s^2 M + K, singular at the tube's own
+        # eigenfrequencies; the near-spectrum gate flags those and passes
+        # the points halfway between
+        model = assemble(uniform(), 99, C_SOUND, RHO)
+        omega = np.sqrt(eigh(model.stiffness, model.mass, eigvals_only=True)[[1, 5, 40, 41]])
+        s = 1j * np.append(omega[:3], 0.5 * (omega[2] + omega[3]))
+        got, ok = model.terminated_impedance(s, np.zeros(s.size))
+        assert ok.tolist() == [False, False, False, True]
+        assert np.isnan(got[:3]).all() and np.isfinite(got[3])
+
     def test_terminated_solve_needs_one_admittance_per_point(self):
         model = assemble(uniform(), 6, C_SOUND, RHO)
         s = 2j * np.pi * np.array([100.0, 200.0, 300.0])
