@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, feedback, pipelines, simulate, transforms, websterfem
 from .core import system_from_json, system_to_json, DiscreteSystem
-from .errors import GateError, ParseError, PassiveNetError
+from .errors import DimensionMismatch, GateError, ParseError, PassiveNetError
 from .passivity import (
     discrete_impedance_certificate,
     discrete_scattering_certificate,
@@ -74,8 +74,15 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
-def _load_system(path: str):
-    return system_from_json(json.loads(_read_text(path)))
+def _load_system(path: str, op: str | None = None, discrete: bool = False):
+    """The system in ``path``; for ``op``, it must have the time axis that
+    ``discrete`` names."""
+    sys_obj = system_from_json(json.loads(_read_text(path)))
+    if op is not None and isinstance(sys_obj, DiscreteSystem) != discrete:
+        axis = "discrete" if discrete else "continuous"
+        raise DimensionMismatch(f"{op} needs a {axis}-time system, and {path} "
+                                f"holds the other time axis")
+    return sys_obj
 
 
 def cmd_check(args) -> int:
@@ -87,8 +94,7 @@ def cmd_check(args) -> int:
     elif args.kind == "impedance":
         cert = impedance_certificate(sys_obj)
     else:
-        # continuous scattering passivity has no direct LMI; decide it
-        # through the internal Cayley transform
+        # continuous scattering: the discrete test on the internal Cayley transform
         cert = scattering_passive_via_cayley(sys_obj, args.sigma)
     print(json.dumps(cert.to_json()))
     return 0 if cert.passive else 2
@@ -124,14 +130,15 @@ _TRANSFORMS = {
 
 
 def cmd_transform(args) -> int:
-    out = _TRANSFORMS[args.op](_load_system(args.system), args)
+    sys_obj = _load_system(args.system, f"--op {args.op}", discrete=args.op == "icayley")
+    out = _TRANSFORMS[args.op](sys_obj, args)
     _write_text(args.output, _json_text(system_to_json(out)))
     return 0
 
 
 def cmd_star(args) -> int:
-    p = _load_system(args.p)
-    q = _load_system(args.q)
+    p = _load_system(args.p, "star")
+    q = _load_system(args.q, "star")
     report = feedback.well_posedness(p, q)
     print(json.dumps(report.to_json()), file=sys.stderr)
     out = feedback.star_product(p, q)

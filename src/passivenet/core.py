@@ -12,6 +12,7 @@ never by an explicit inverse.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -52,9 +53,12 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
 
 
 def _require_positive(exc_type, nonnegative=(), **values) -> None:
-    """Raise exc_type naming the first of ``values`` that is not positive and
-    finite (nonnegative and finite, for the names in ``nonnegative``)."""
+    """Raise exc_type naming the first of ``values`` that is not a real number
+    (a bool is not one), or not positive and finite (nonnegative and finite,
+    for the names in ``nonnegative``)."""
     for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise exc_type(f"{name} must be a real number, got {value!r}")
         if not (0 < value < np.inf or (name in nonnegative and value == 0)):
             kind = "nonnegative" if name in nonnegative else "positive"
             raise exc_type(f"{name} must be {kind} and finite, got {value}")
@@ -179,7 +183,7 @@ class DiscreteSystem:
     split: tuple[int, int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        _require_positive(DimensionMismatch, sigma=float(self.sigma))
+        _require_positive(DimensionMismatch, sigma=self.sigma)
         object.__setattr__(self, "sigma", float(self.sigma))
         _freeze_quadruple(self, ("Ad", "Bd", "Cd", "Dd"))
 

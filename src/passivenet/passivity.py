@@ -1,21 +1,19 @@
-"""Passivity certificates for continuous and discrete systems.
+"""Passivity certificates from one dissipation inequality (Willems, 1972).
 
-A continuous system is impedance passive iff the symmetric block matrix
+A system is passive for a supply w(u, y) when its storage |x|^2 grows by at
+most the supply: d/dt |x|^2 <= w (continuous) or |x_{k+1}|^2 - |x_k|^2 <= w
+(discrete), with x' or x_{k+1} = A x + B u, y = C x + D u, and w = 2 <u, y>
+(impedance) or |u|^2 - |y|^2 (scattering).  Growth minus supply is a
+quadratic form in (x, u); ``_dissipation`` builds its matrix, which is
+negative semidefinite iff the system is passive and zero iff conservative.
+Every verdict carries a signed margin (the matrix's largest eigenvalue,
+positive means violation) so callers such as the regularisation and
+star-product code can reason about how close to the boundary a system sits.
 
-    [[A^T + A,  B - C^T],
-     [B^T - C,  -D^T - D]]
-
-is negative semidefinite, and conservative iff it vanishes.  Discrete-time
-scattering/impedance passivity have analogous semidefinite tests.  All
-verdicts here come with a signed margin (the worst eigenvalue of the test
-matrix, oriented so that positive means violation) so callers such as the
-regularisation and star-product code can reason about how close to the
-boundary a system sits.
-
-Tolerance policy: a test matrix counts as vanishing when its
-2-norm is below ``CONSERVATIVE_RTOL`` times (1 + the norm of its
-ingredients); a margin within the same band of zero counts as the passive
-boundary rather than strict passivity.
+Tolerance policy: a test matrix counts as vanishing when its 2-norm is below
+``CONSERVATIVE_RTOL`` times (1 + the largest entry of A, B, C, D); a margin
+within ``CONSERVATIVE_RTOL`` (1 + the matrix's norm) of zero counts as the
+passive boundary rather than strict passivity.
 """
 
 from __future__ import annotations
@@ -39,9 +37,10 @@ NOT_PASSIVE = "NotPassive"
 class PassivityCertificate:
     """Verdict plus the numbers it was decided on.
 
-    ``margin`` is the extreme eigenvalue of the test matrix oriented so that
-    margin > tolerance means the passivity inequality is violated;
-    ``test_matrix_norm`` is the 2-norm of the test matrix itself.
+    ``margin`` is the largest eigenvalue of the dissipation matrix, so
+    margin > tolerance means the inequality fails for some (x, u);
+    ``test_matrix_norm`` is the 2-norm of that matrix.
+    ``scattering_conservative_check`` reports other numbers (see there).
     """
 
     verdict: str
@@ -66,7 +65,7 @@ def _classify(test_matrix: np.ndarray, ingredient_scale: float) -> PassivityCert
     M = 0.5 * (test_matrix + test_matrix.T)
     # one symmetric eigensolve: the 2-norm is the largest |eigenvalue|, and
     # the margin is reported for a vanishing matrix too, where it is roundoff
-    lam = np.linalg.eigvalsh(M) if M.size else np.zeros(1)
+    lam = np.linalg.eigvalsh(M)
     norm = float(np.abs(lam).max())
     margin = float(lam.max())
     tol = CONSERVATIVE_RTOL * (1.0 + ingredient_scale)
@@ -84,49 +83,50 @@ def _scale(*mats: np.ndarray) -> float:
     return max((float(np.abs(m).max()) if m.size else 0.0) for m in mats)
 
 
+def _dissipation(A, B, C, D, supply: str, discrete: bool) -> PassivityCertificate:
+    """Classify the storage's growth minus the ``supply``, "impedance" or
+    "scattering", as the matrix of a quadratic form in (x, u)."""
+    n, m = B.shape
+    if discrete:  # |A x + B u|^2 - |x|^2
+        growth = [[A.T @ A - np.eye(n), A.T @ B], [B.T @ A, B.T @ B]]
+    else:  # 2 <x, A x + B u>
+        growth = [[A.T + A, B], [B.T, 0.0]]
+    if supply == "impedance":  # 2 <u, C x + D u>
+        w = [[0.0, C.T], [C, D + D.T]]
+    else:  # |u|^2 - |C x + D u|^2
+        w = [[-C.T @ C, -C.T @ D], [-D.T @ C, np.eye(m) - D.T @ D]]
+    # block by block, so no full-size zero or difference is formed
+    M = np.block([[g - s for g, s in zip(*rows)] for rows in zip(growth, w)])
+    return _classify(M, _scale(A, B, C, D))
+
+
 def impedance_certificate(sys: StateSpaceSystem) -> PassivityCertificate:
-    """Continuous-time impedance passivity via the symmetric block LMI."""
-    M = np.block([[sys.A.T + sys.A, sys.B - sys.C.T],
-                  [sys.B.T - sys.C, -sys.D.T - sys.D]])
-    return _classify(M, _scale(sys.A, sys.B, sys.C, sys.D))
+    """Continuous-time impedance passivity."""
+    return _dissipation(sys.A, sys.B, sys.C, sys.D, "impedance", discrete=False)
 
 
 def scattering_conservative_check(sys: StateSpaceSystem) -> PassivityCertificate:
-    """Residual test of the four scattering-conservativity identities.
+    """Continuous-time scattering dissipation, read for conservativity.
 
-    A + A^T = -C^T C = -B B^T, C = -D B^T, D^T D = I.  The verdict is
-    Conservative when every residual vanishes, NotPassive otherwise (this
-    check certifies conservativity only, not plain passivity).
+    The matrix vanishes iff A + A^T = -C^T C, B = -C^T D and D^T D = I.  The
+    verdict is Conservative when it does (2-norm within ``CONSERVATIVE_RTOL``
+    times ``test_matrix_norm``), else the scattering passivity verdict.
+    Here ``margin`` is that 2-norm, the distance from conservativity, and
+    ``test_matrix_norm`` is 1 + the largest entry of A, B, C, D.
     """
-    r = [np.linalg.norm(sys.A + sys.A.T + sys.C.T @ sys.C, 2) if sys.n else 0.0,
-         np.linalg.norm(sys.A + sys.A.T + sys.B @ sys.B.T, 2) if sys.n else 0.0,
-         np.linalg.norm(sys.C + sys.D @ sys.B.T, 2) if sys.n else 0.0,
-         np.linalg.norm(sys.D.T @ sys.D - np.eye(sys.m), 2)]
-    scale = _scale(sys.A, sys.B, sys.C, sys.D) + 1.0
-    worst = float(max(r))
-    if worst <= CONSERVATIVE_RTOL * scale:
-        return PassivityCertificate(CONSERVATIVE, worst, scale)
-    return PassivityCertificate(NOT_PASSIVE, worst, scale)
-
-
-def _discrete_block(phi: DiscreteSystem) -> np.ndarray:
-    return np.block([[phi.Ad, phi.Bd], [phi.Cd, phi.Dd]])
+    cert = _dissipation(sys.A, sys.B, sys.C, sys.D, "scattering", discrete=False)
+    return PassivityCertificate(cert.verdict, cert.test_matrix_norm,
+                                _scale(sys.A, sys.B, sys.C, sys.D) + 1.0)
 
 
 def discrete_scattering_certificate(phi: DiscreteSystem) -> PassivityCertificate:
     """Discrete scattering passivity: S^T S <= I for the system block S."""
-    S = _discrete_block(phi)
-    M = S.T @ S - np.eye(S.shape[0])
-    return _classify(M, _scale(phi.Ad, phi.Bd, phi.Cd, phi.Dd))
+    return _dissipation(phi.Ad, phi.Bd, phi.Cd, phi.Dd, "scattering", discrete=True)
 
 
 def discrete_impedance_certificate(phi: DiscreteSystem) -> PassivityCertificate:
-    """Discrete impedance passivity via its semidefinite test matrix."""
-    M = np.block([
-        [np.eye(phi.n) - phi.Ad.T @ phi.Ad, phi.Cd.T - phi.Ad.T @ phi.Bd],
-        [phi.Cd - phi.Bd.T @ phi.Ad, phi.Dd + phi.Dd.T - phi.Bd.T @ phi.Bd]])
-    # oriented 'passive iff >= 0'; negate to reuse the <= 0 classifier
-    return _classify(-M, _scale(phi.Ad, phi.Bd, phi.Cd, phi.Dd))
+    """Discrete-time impedance passivity."""
+    return _dissipation(phi.Ad, phi.Bd, phi.Cd, phi.Dd, "impedance", discrete=True)
 
 
 def scattering_passive_via_cayley(sys: StateSpaceSystem,
@@ -145,15 +145,10 @@ def properly_impedance_passive(sys: StateSpaceSystem) -> tuple[bool, float]:
     """Impedance passive with invertible D^T + D; returns (flag, margin).
 
     The margin is the smallest eigenvalue of D^T + D.  A zero feedthrough
-    (norm 0) is never proper, which is exactly why conservative circuit
+    (margin 0) is never proper, which is exactly why conservative circuit
     models need the epsilon shift before Redheffer coupling.
     """
-    sym = sys.D.T + sys.D
-    margin = float(np.linalg.eigvalsh(sym).min()) if sys.m else 0.0
-    dnorm = float(np.linalg.norm(sys.D, 2)) if sys.m else 0.0
-    if dnorm == 0.0:
+    margin = float(np.linalg.eigvalsh(sys.D.T + sys.D).min())
+    if margin <= CONSERVATIVE_RTOL * float(np.linalg.norm(sys.D, 2)):
         return False, margin
-    if margin <= CONSERVATIVE_RTOL * dnorm:
-        return False, margin
-    cert = impedance_certificate(sys)
-    return cert.passive, margin
+    return impedance_certificate(sys).passive, margin

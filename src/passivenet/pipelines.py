@@ -274,8 +274,16 @@ class WaveguideConfig:
     square: float = 3e5               # half-width of the sampling square, rad/s
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in (self.n, self.k)):
+        def whole(value, low):  # an integer (not a bool) of at least low
+            return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and value >= low)
+        if not (whole(self.n, 1) and whole(self.k, 1)):
             raise DimensionMismatch(f"n and k must be positive integers, got {self.n}, {self.k}")
+        if not whole(self.sample_points, 1):
+            raise DimensionMismatch(f"sample_points must be a positive integer, "
+                                    f"got {self.sample_points!r}")
+        if not whole(self.seed, 0):
+            raise DimensionMismatch(f"seed must be a nonnegative integer, got {self.seed!r}")
         _require_positive(DimensionMismatch, ("epsilon_factor",), c=self.c, rho=self.rho,
                           r1=self.r1, r2=self.r2, sigma=self.sigma, square=self.square,
                           epsilon_factor=self.epsilon_factor)

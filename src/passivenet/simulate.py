@@ -159,6 +159,9 @@ class ExcitationSpec:
             raise DimensionMismatch(f"unknown excitation kind {self.kind!r}")
         _require_positive(DimensionMismatch, sample_rate=self.sample_rate,
                           duration=self.duration, f0=self.f0)
+        if self.n_samples < 1:
+            raise DimensionMismatch(f"duration={self.duration} s at sample_rate="
+                                    f"{self.sample_rate} Hz gives no samples")
         if not all(0.0 < v < 1.0 for v in self.lf_shape):
             raise DimensionMismatch("LF shape parameters must lie in (0, 1)")
         if self.f1 is not None and not (math.isfinite(self.f1) and self.f1 > self.f0):

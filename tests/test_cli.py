@@ -12,8 +12,9 @@ import pytest
 
 import passivenet
 from passivenet.core import system_from_json, system_to_json, transfer_function
-from passivenet.cli import main
+from passivenet.cli import _TRANSFORMS, main
 from passivenet.pipelines import pi_circuit_system, pi_scattering_system
+from passivenet.transforms import internal_cayley
 
 # the child interpreter imports the same passivenet as this one, also when
 # pytest put src/ on sys.path without it being installed
@@ -205,6 +206,27 @@ class TestTransform:
         out = system_from_json(json.loads(proc.stdout))
         assert np.array_equal(out.C[0], sys_obj.C[0])
         assert np.array_equal(out.C[1], -sys_obj.C[1])
+
+
+class TestTimeAxis:
+    """A file on the other time axis is a DimensionMismatch (exit 1) that
+    names the op and the axis it needs, not an AttributeError."""
+
+    @pytest.mark.parametrize("op", [*_TRANSFORMS, "star"])
+    def test_other_time_axis_exit_one(self, tmp_path, capsys, op):
+        cont = pi_circuit_system(2.2e-9, 3.4e-9, 14e-6)
+        cpath = write_system(tmp_path / "c.json", cont)
+        dpath = write_system(tmp_path / "d.json", internal_cayley(cont, 88200.0))
+        if op == "star":
+            args, axis = ["star", cpath, dpath], "continuous"
+        elif op == "icayley":
+            args, axis = ["transform", cpath, "--op", op], "discrete"
+        else:
+            args, axis = ["transform", dpath, "--op", op], "continuous"
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {'star' if op == 'star' else '--op ' + op} "
+                              f"needs a {axis}-time system")
 
 
 class TestStar:

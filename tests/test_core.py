@@ -441,6 +441,13 @@ class TestDiscreteValidation:
             DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
                            np.zeros((1, 1)), sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", [True, "88200", None])
+    def test_non_real_sigma_rejected(self, sigma):
+        # True and "88200" were read as 1.0 and 88200.0
+        with pytest.raises(DimensionMismatch, match="^sigma must be a real number"):
+            DiscreteSystem(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), sigma=sigma)
+
 
 class TestJsonFormat:
     def test_round_trip_continuous(self, rng):

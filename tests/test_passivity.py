@@ -3,6 +3,8 @@ and the verdict-preservation properties of the Cayley and reciprocal maps."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_conservative,
@@ -91,8 +93,19 @@ class TestScatteringConservative:
         sys = StateSpaceSystem(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
                                0.5 * np.eye(2), split=(1, 1))
         cert = scattering_conservative_check(sys)
-        assert cert.verdict == NOT_PASSIVE
+        assert cert.verdict == STRICTLY_PASSIVE  # D = I/2 is a contraction
         assert cert.margin == pytest.approx(0.75)  # |D^T D - I| = 3/4
+
+    def test_strictly_passive_lag_is_not_a_violation(self):
+        # G(s) = 1/2 + (1/4)/(s + 1) has |G(iw)| <= 3/4: strictly scattering
+        # passive, though not conservative
+        sys = StateSpaceSystem(-np.eye(1), np.full((1, 1), 0.5), np.full((1, 1), 0.5),
+                               np.full((1, 1), 0.5), split=(1, 0))
+        cert = scattering_conservative_check(sys)
+        assert cert.verdict == STRICTLY_PASSIVE
+        assert scattering_passive_via_cayley(sys, 1.0).verdict == STRICTLY_PASSIVE
+        # the 2-norm of [[-7/4, 3/4], [3/4, -3/4]]
+        assert cert.margin == pytest.approx((5 + np.sqrt(13)) / 4)
 
 
 class TestDiscreteCertificates:
@@ -154,6 +167,36 @@ class TestViaCayley:
         verdicts = {scattering_passive_via_cayley(scat, s).verdict
                     for s in (1.0, 10.0, 1000.0)}
         assert len(verdicts) == 1
+
+
+def _away_from_boundary(seed, n, m, passive, supply):
+    """A strictly passive system for ``supply``, or one whose feedthrough
+    alone breaks the inequality by at least 1: D + D^T <= -I (impedance) or
+    D^T D - I >= 3 I (scattering, where |D| < 1 before the shift)."""
+    rng = np.random.default_rng(seed)
+    sys = random_impedance_passive(rng, n, 1, m - 1)
+    if supply == "scattering":
+        sys = external_cayley(sys, random_resistance(rng, 1, m - 1))
+    if passive:
+        return sys
+    return sys.replace(D=-sys.D if supply == "impedance" else sys.D + 3 * np.eye(m))
+
+
+class TestContinuousDiscreteAgreement:
+    """The Cayley transform is a congruence of the dissipation matrix, so a
+    verdict away from the boundary is the same on both time axes."""
+
+    @pytest.mark.parametrize("supply, continuous, discrete", [
+        ("impedance", impedance_certificate, discrete_impedance_certificate),
+        ("scattering", scattering_conservative_check, discrete_scattering_certificate)])
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 2),
+           sigma=st.floats(0.5, 40.0), passive=st.booleans())
+    def test_verdicts_agree(self, supply, continuous, discrete, seed, n, m, sigma, passive):
+        sys = _away_from_boundary(seed, n, m, passive, supply)
+        verdict = continuous(sys).verdict
+        assert verdict == (STRICTLY_PASSIVE if passive else NOT_PASSIVE)
+        assert discrete(internal_cayley(sys, sigma)).verdict == verdict
 
 
 class TestProperlyPassive:

@@ -1,6 +1,8 @@
 """Both applications end to end: the coupled pi-ladder and the terminated
 waveguide, checked against closed forms and ABCD-chain oracles."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from passivenet import simulate
 from passivenet.core import io_equivalent, minimality, transfer_function
 from passivenet.errors import DimensionMismatch, NearSpectrum, NotWellPosed
 from passivenet.feedback import star_of_impedance_pair
+from passivenet.loewner import PistonParams
 from passivenet.passivity import (
     CONSERVATIVE,
     impedance_certificate,
@@ -77,6 +80,30 @@ class TestConfigValues:
     def test_zero_shift_is_allowed(self):
         assert ButterworthConfig(epsilon=0.0).epsilon == 0.0
         assert WaveguideConfig(epsilon_factor=0.0).epsilon == 0.0
+
+    @pytest.mark.parametrize("config, name, value", [
+        (ButterworthConfig, "c1", "2e-9"), (ButterworthConfig, "r0", True),
+        (ButterworthConfig, "epsilon", None), (WaveguideConfig, "c", "343"),
+        (WaveguideConfig, "sigma", np.bool_(True)),
+        (functools.partial(PistonParams, a=5.6e-3, rho=1.225, c=343.0), "a", None)])
+    def test_wrong_type_is_named(self, config, name, value):
+        # these raised a bare TypeError from '<', or were accepted as 1
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be a real number"):
+            config(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("k", True, "n and k must be positive integers"),
+        ("sample_points", 80.0, "sample_points must be a positive integer"),
+        ("sample_points", 0, "sample_points must be a positive integer"),
+        ("seed", True, "seed must be a nonnegative integer"),
+        ("seed", 1.5, "seed must be a nonnegative integer"),
+        ("seed", -1, "seed must be a nonnegative integer")])
+    def test_waveguide_integers(self, name, value, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}"):
+            WaveguideConfig(**{name: value})
+
+    def test_seed_zero_is_allowed(self):
+        assert WaveguideConfig(seed=0).seed == 0
 
 
 class TestPiCircuit:

@@ -233,6 +233,13 @@ class TestExcitations:
             with pytest.raises(DimensionMismatch, match=f"^{name} must be positive and finite"):
                 ExcitationSpec("LFPulseTrain", **fields)
 
+    @pytest.mark.parametrize("kind", ["LFPulseTrain", "LogSweep", "Impulse"])
+    def test_no_samples_rejected(self, kind):
+        # 1 us at 44.1 kHz rounds to 0 samples, which failed inside numpy
+        with pytest.raises(DimensionMismatch, match="^duration=1e-06 s at sample_rate=44100.0 Hz"):
+            ExcitationSpec(kind, 120.0, 1e-6, 44100.0)
+        assert ExcitationSpec(kind, 120.0, 1 / 44100, 44100.0).n_samples == 1
+
     def test_impulse_and_dispatcher(self):
         spec = ExcitationSpec("Impulse", f0=1.0, duration=0.01, sample_rate=1000.0)
         x = excitation_signal(spec)
