@@ -5,9 +5,9 @@ I/O error, 2 not passive, 3 any `GateError` (a numerical gate fired: a
 singular block, a near-spectrum solve, a non-well-posed loop, ...).
 '-' stands for stdin/stdout on single-file commands.  Pipeline runs write
 their outputs plus a manifest.json recording the command line, the SHA-256
-of the config bytes, the seed, the tool version, wall time and the output
-file list; all randomness flows from the one seed in the config, so rerun
-outputs are byte-identical.
+of the config bytes, the seed (null for butterworth, which draws nothing),
+the tool version, wall time and the output file list; the waveguide's only
+randomness flows from its config seed, so rerun outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class RunManifest:
 
     command: str
     config_digest: str
-    seed: int
+    seed: int | None
     version: str
     wall_time_s: float
     outputs: list[str] = field(default_factory=list)
@@ -167,7 +167,7 @@ _VALUE_KINDS = {
 def _run_pipeline(args, config_type, extra_keys: dict[str, type], compute) -> int:
     """Parse ``args.config`` (a JSON object over the fields of ``config_type``
     and ``extra_keys``, each {name: value kind}; empty means {}), run
-    ``compute(config) -> (seed, {file name: text})`` and write the files,
+    ``compute(config) -> (seed or None, {file name: text})`` and write the files,
     then manifest.json, to ``args.out``.  A numeric field must hold a value
     of its default's type; fields without a scalar default (the waveguide's
     inline ``area``) are checked by ``compute``."""
@@ -199,22 +199,20 @@ def _run_pipeline(args, config_type, extra_keys: dict[str, type], compute) -> in
 
 def cmd_butterworth(args) -> int:
     def compute(config):
-        seed = int(config.pop("seed", 0))
         grid = config.pop("grid_hz", None)
         cfg = pipelines.ButterworthConfig(**config)
         model = pipelines.butterworth_compose(cfg)
         freqs = (np.asarray(grid, dtype=float) if grid is not None
                  else np.geomspace(1e4, 1e7, 400))
         sp = pipelines.butterworth_sparams(cfg, freqs)
-        return seed, {
+        return None, {
             "sparams.csv": simulate._csv_text(
                 ["f_hz", "re_s11", "im_s11", "re_s21", "im_s21"],
                 [sp.frequencies, sp.s11.real, sp.s11.imag, sp.s21.real, sp.s21.imag]),
             **{f"{name}.json": _json_text(system_to_json(getattr(model, name)))
                for name in ("regularized", "impedance", "minimal")}}
 
-    return _run_pipeline(args, pipelines.ButterworthConfig, {"seed": int, "grid_hz": list},
-                         compute)
+    return _run_pipeline(args, pipelines.ButterworthConfig, {"grid_hz": list}, compute)
 
 
 def cmd_waveguide(args) -> int:

@@ -537,16 +537,15 @@ def minimality(sys: StateSpaceSystem) -> tuple[int, int, bool]:
     return rc, ro, (rc == n and ro == n)
 
 
-def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8,
-                  seed: int = 0) -> bool:
+def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8) -> bool:
     """Sampled I/O equivalence: compare transfers at n_p + n_q + 1 points.
 
     That many agreement points exceed the McMillan-degree bound, so two
     distinct rational functions of these orders cannot pass.  This is a
     numerical surrogate for algebraic equality, not an exact decision.
-    Points are deterministic pseudo-random, log-spaced in magnitude across
-    both spectra and kept off the real axis; a NearSpectrum hit is retried
-    with fresh points (at most 5 rounds).
+    Points are deterministic pseudo-random (round r draws from seed 7919 r),
+    log-spaced in magnitude across both spectra and kept off the real axis;
+    a NearSpectrum hit is retried with fresh points (at most 5 rounds).
     """
     if p.m != q.m:
         raise DimensionMismatch(f"io_equivalent needs equal signal width, got {p.m} vs {q.m}")
@@ -557,7 +556,7 @@ def io_equivalent(p: StateSpaceSystem, q: StateSpaceSystem, tol: float = 1e-8,
     lo = max(float(np.min(mags[mags > 0], initial=1.0)), 1e-6)
     hi = float(np.max(mags, initial=1.0))
     for attempt in range(5):
-        rng = np.random.default_rng(seed + 7919 * attempt)
+        rng = np.random.default_rng(7919 * attempt)
         mags = np.exp(rng.uniform(np.log(0.3 * lo), np.log(3.0 * hi), npts))
         angles = rng.uniform(0.15, np.pi - 0.15, npts)  # keep clear of the real axis
         pts = mags * np.exp(1j * angles)

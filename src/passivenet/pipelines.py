@@ -23,7 +23,7 @@ A Webster-FEM tube (impedance conservative, 4n states) is terminated at the
 mouth by the piston radiation impedance, rationally approximated through
 the Loewner framework at order k.  The load is regularised by
 eps = epsilon_factor * Z0 (acting as an acoustic series resistance at the
-mouth), both systems are externally Cayley transformed at the shared
+mouth), both systems are externally Cayley transformed at one fixed
 channel resistance, star-coupled, and mapped back to a one-port impedance
 of dimension 4n + k.  The interpolation points include a high-frequency
 anchor track along the imaginary axis covering the tube's full spectral
@@ -239,6 +239,9 @@ def butterworth_sparams(cfg: ButterworthConfig, grid_hz) -> SParams:
 # ---------------------------------------------------------------------------
 # waveguide
 
+# the external Cayley pair changes only port variables: R sets rounding and Delta = 2eps/(eps+R)
+_CHANNEL_RESISTANCE = 1.1e6
+
 
 def uniform_tube(length: float = 0.175, area: float = 1e-4) -> AreaFunction:
     """Constant cross-section tube geometry."""
@@ -264,8 +267,6 @@ class WaveguideConfig:
     n: int = 99
     c: float = 343.0
     rho: float = 1.225
-    r1: float = 1.1e6
-    r2: float = 1.1e6
     epsilon_factor: float = 0.194     # in units of the piston Z0
     k: int = 16
     sigma: float = 88200.0
@@ -285,8 +286,7 @@ class WaveguideConfig:
         if not whole(self.seed, 0):
             raise DimensionMismatch(f"seed must be a nonnegative integer, got {self.seed!r}")
         _require_positive(DimensionMismatch, ("epsilon_factor",), c=self.c, rho=self.rho,
-                          r1=self.r1, r2=self.r2, sigma=self.sigma, square=self.square,
-                          epsilon_factor=self.epsilon_factor)
+                          sigma=self.sigma, square=self.square, epsilon_factor=self.epsilon_factor)
 
     @property
     def piston(self) -> PistonParams:
@@ -339,9 +339,9 @@ def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
 
     Steps: assemble the tube; sample and reduce the piston impedance;
     regularise the load by eps = epsilon_factor * Z0; external Cayley both
-    at R1 = R2; star product; inverse external Cayley at R1; internal Cayley
-    at sigma.  State dimension is 4n + k with the tube states first, so the
-    mouth pressure stays readable as the tube's second output row.
+    at one fixed R; star product; inverse external Cayley at R; internal
+    Cayley at sigma.  State dimension is 4n + k with the tube states first,
+    so the mouth pressure stays readable as the tube's second output row.
     """
     tube = websterfem.assemble(cfg.area, cfg.n, cfg.c, cfg.rho)
     piston = cfg.piston
@@ -358,8 +358,8 @@ def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
     interp = loewner.reduce_order(loewner.realify(
         loewner.loewner_matrices(scheme, vm, vl)), cfg.k)
     load = interp.reduced
-    Rp = ResistanceMatrix.scalars(cfg.r1, cfg.r2)
-    Rq = ResistanceMatrix.scalars(cfg.r2)
+    Rp = ResistanceMatrix.scalars(_CHANNEL_RESISTANCE, _CHANNEL_RESISTANCE)
+    Rq = ResistanceMatrix.scalars(_CHANNEL_RESISTANCE)
     composite = star_of_impedance_pair(tube.system, load, Rp, Rq, epsilon_p=0.0,
                                        epsilon_q=cfg.epsilon, impedance=True)
     discrete = transforms.internal_cayley(composite, cfg.sigma)

@@ -243,10 +243,14 @@ def lf_pulse_train(spec: ExcitationSpec) -> np.ndarray:
 
     Sampled by evaluating the continuous one-period flow at t mod T0, so a
     fractional period (e.g. 367.5 samples at 120 Hz / 44.1 kHz) accumulates
-    exactly instead of drifting.
+    exactly instead of drifting.  The samples must reach the first flow
+    peak Tp = asymmetry * open quotient / f0, or there is no peak to scale by.
     """
     wf = _solve_lf(spec.f0, spec.lf_shape)
     t = np.arange(spec.n_samples) / spec.sample_rate
+    if t[-1] < wf.Tp:  # no sample at or past the first flow peak to normalise by
+        raise DimensionMismatch(f"duration={spec.duration} s puts the last sample at "
+                                f"{t[-1]:.4g} s, before the first LF flow peak at {wf.Tp:.4g} s")
     flow = wf.flow(np.mod(t, wf.T0))
     peak = flow.max()
     if peak <= 0:

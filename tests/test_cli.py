@@ -274,6 +274,7 @@ class TestPipelinesCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"sparams.csv", "regularized.json",
                                             "impedance.json", "minimal.json"}
+        assert manifest["seed"] is None  # the ladder draws no random numbers
         assert (out / "sparams.csv").read_text().startswith("f_hz,")
 
     def test_waveguide_run_and_determinism(self, tmp_path):
@@ -287,6 +288,7 @@ class TestPipelinesCli:
         for name in ("resonances.csv", "response.csv", "timeseries.csv",
                      "composite.json", "scheme.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert json.loads((out1 / "manifest.json").read_text())["seed"] == 11
 
     @pytest.mark.parametrize("command, config, message", [
         ("butterworth", {"foo": 1}, "unknown config key"),
@@ -300,7 +302,7 @@ class TestPipelinesCli:
         ("waveguide", {"area_csv": 3}, "'area_csv' must be a string"),
         ("butterworth", {"c1": "2.2e-9"}, "'c1' must be a number"),
         ("butterworth", {"epsilon": True}, "'epsilon' must be a number"),
-        ("butterworth", {"seed": "x"}, "'seed' must be an integer"),
+        ("butterworth", {"seed": 1}, "unknown config key"),
         ("butterworth", {"grid_hz": [1e5, "1e6"]}, "'grid_hz' must be a list of numbers"),
         # json.loads reads NaN and Infinity; the pipelines must not
         ("butterworth", {"grid_hz": [1e5, float("nan"), 2e5]}, "'grid_hz' must be a list of"),

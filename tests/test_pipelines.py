@@ -1,6 +1,7 @@
 """Both applications end to end: the coupled pi-ladder and the terminated
 waveguide, checked against closed forms and ABCD-chain oracles."""
 
+import dataclasses
 import functools
 
 import mpmath
@@ -43,6 +44,7 @@ from passivenet.pipelines import (
     uniform_tube,
     waveguide_compose,
     waveguide_report,
+    _CHANNEL_RESISTANCE,
     _rotated_product,
 )
 from passivenet.simulate import ExcitationSpec, frequency_response, resonances, step_response
@@ -59,8 +61,7 @@ class TestConfigValues:
 
     @pytest.mark.parametrize("name, value", [
         ("c", np.nan), ("rho", np.inf), ("sigma", np.inf), ("square", np.nan),
-        ("epsilon_factor", np.nan), ("epsilon_factor", -0.1), ("r1", np.inf),
-        ("r2", 0.0), ("c", -343.0)])
+        ("epsilon_factor", np.nan), ("epsilon_factor", -0.1), ("c", -343.0)])
     def test_waveguide(self, name, value):
         with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
             WaveguideConfig(**{name: value})
@@ -385,15 +386,35 @@ class TestWaveguide:
 
     def test_composite_is_the_impedance_star_product(self, small_composite):
         # the one-port impedance by hand: scattering star, then its inverse
-        # external Cayley transform at R1
+        # external Cayley transform, at the pipeline's channel resistance R
         cfg, comp = small_composite
+        R = _CHANNEL_RESISTANCE
         prod = star_of_impedance_pair(comp.tube.system, comp.load,
-                                      ResistanceMatrix.scalars(cfg.r1, cfg.r2),
-                                      ResistanceMatrix.scalars(cfg.r2), epsilon_q=cfg.epsilon)
-        want = inverse_external_cayley(prod, ResistanceMatrix.scalars(cfg.r1))
+                                      ResistanceMatrix.scalars(R, R),
+                                      ResistanceMatrix.scalars(R), epsilon_q=cfg.epsilon)
+        want = inverse_external_cayley(prod, ResistanceMatrix.scalars(R))
         for name in ("A", "B", "C", "D", "split"):
             np.testing.assert_array_equal(getattr(comp.composite_impedance, name),
                                           getattr(want, name))
+
+    def test_channel_resistance_changes_no_answer(self, small_composite):
+        # R picks the coupling's port variables, not the model: at R = Z0
+        # (4.2e6) the composite moves by roundoff (3.2e-16 measured) and the
+        # sweep, which couples the components pointwise, not at all
+        cfg, comp = small_composite
+        by_hand = [star_of_impedance_pair(comp.tube.system, comp.load,
+                                          ResistanceMatrix.scalars(R, R),
+                                          ResistanceMatrix.scalars(R), epsilon_q=cfg.epsilon,
+                                          impedance=True)
+                   for R in (_CHANNEL_RESISTANCE, comp.piston.Z0)]
+        for name in "ABCD":
+            X, Y = (getattr(sys, name) for sys in by_hand)
+            assert np.abs(X - Y).max() <= 1e-13 * np.abs(Y).max(), name
+        s = 2j * np.pi * np.geomspace(30.0, 10000.0, 300)
+        swept = [dataclasses.replace(comp, composite_impedance=sys).transfer_values(s)
+                 for sys in by_hand]
+        for got, want in zip(*swept):
+            np.testing.assert_array_equal(got, want)
 
     def test_report_runs(self, small_composite):
         _, comp = small_composite
@@ -418,6 +439,52 @@ class TestWaveguide:
         rel1 = (max(f1s) - min(f1s)) / f1s[0]
         rel3 = (max(f3s) - min(f3s)) / f3s[0]
         assert rel1 > 3.0 * rel3
+
+
+# one change per config field; a field missing here fails the guard below.
+# Smoke composites at k = 14 or 16, square >= 3.5e5 or c = 257 fail the
+# internal Cayley gate, so the changes stay clear of those.
+_CHANGES = {
+    WaveguideConfig: dict(area=two_segment_tube(), n=25, c=514.5, rho=1.8375,
+                          epsilon_factor=0.291, k=13, sigma=132300.0, seed=1,
+                          sample_points=82, square=2e5),
+    ButterworthConfig: dict(c1=3.3e-9, c2=5.1e-9, l1=21e-6, r0=75.0, epsilon=1.5e-9),
+}
+
+
+def _waveguide_outputs(comp) -> list:
+    """Composite, scheme, discrete system and a 30-point sweep."""
+    values, _ = comp.transfer_values(2j * np.pi * np.geomspace(50.0, 5000.0, 30))
+    return [getattr(sys, name) for sys, names in ((comp.composite_impedance, "ABCD"),
+                                                  (comp.scheme, ("mu", "lam")),
+                                                  (comp.discrete, ("Ad", "Bd", "Cd", "Dd")))
+            for name in names] + [values]
+
+
+def _butterworth_outputs(cfg) -> list:
+    """Every realisation and the S-parameters at 30 points."""
+    model = butterworth_compose(cfg)
+    sp = butterworth_sparams(cfg, np.geomspace(1e4, 1e7, 30))
+    return [getattr(getattr(model, form), name) for form in ("regularized", "impedance", "minimal")
+            for name in "ABCD"] + [sp.s11, sp.s21]
+
+
+class TestNoDeadSetting:
+    """Every config field changes some output beyond roundoff, so a setting
+    that changes no answer fails here (as a channel resistance would: it
+    moves the waveguide composite by about 1e-15)."""
+
+    @pytest.mark.parametrize("config, name", [
+        pytest.param(config, f.name, id=f"{config.__name__}.{f.name}")
+        for config in (WaveguideConfig, ButterworthConfig) for f in dataclasses.fields(config)])
+    def test_field_changes_an_output(self, small_composite, config, name):
+        cfg, comp = small_composite if config is WaveguideConfig else (CFG, None)
+        changed = dataclasses.replace(cfg, **{name: _CHANGES[config][name]})
+        if comp is None:
+            base, moved = _butterworth_outputs(cfg), _butterworth_outputs(changed)
+        else:
+            base, moved = _waveguide_outputs(comp), _waveguide_outputs(waveguide_compose(changed))
+        assert any(a.shape != b.shape or normwise(a, b) > 1e-9 for a, b in zip(moved, base))
 
 
 class TestTerminatedSweep:

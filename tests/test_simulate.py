@@ -240,6 +240,23 @@ class TestExcitations:
             ExcitationSpec(kind, 120.0, 1e-6, 44100.0)
         assert ExcitationSpec(kind, 120.0, 1 / 44100, 44100.0).n_samples == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 155])
+    def test_lf_train_before_first_peak_rejected(self, n):
+        # the first flow peak is at Tp = 0.7 * 0.6 / 120 s = 3.5 ms, 154.35
+        # samples at 44.1 kHz; a shorter train has no peak to scale by (its
+        # largest sample would read 1, so 2 samples would give [0, 1])
+        spec = ExcitationSpec("LFPulseTrain", 120.0, n / 44100, 44100.0)
+        with pytest.raises(DimensionMismatch, match="^duration=.* before the first LF flow peak"):
+            lf_pulse_train(spec)
+
+    def test_lf_train_reaching_first_peak_is_normalised_to_it(self):
+        # 156 samples reach Tp: the peak is sample 154, within the sampling
+        # ripple (1.5e-5) of a 0.05 s train's scale
+        short = lf_pulse_train(ExcitationSpec("LFPulseTrain", 120.0, 156 / 44100, 44100.0))
+        long = lf_pulse_train(ExcitationSpec("LFPulseTrain", 120.0, 0.05, 44100.0))
+        assert short.argmax() == 154 and short.max() == 1.0
+        assert np.abs(short - long[:156]).max() <= 1e-4
+
     def test_impulse_and_dispatcher(self):
         spec = ExcitationSpec("Impulse", f0=1.0, duration=0.01, sample_rate=1000.0)
         x = excitation_signal(spec)
