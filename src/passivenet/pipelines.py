@@ -390,22 +390,26 @@ def waveguide_report(composite: WaveguideComposite,
     evaluates it from its components (``WaveguideComposite.transfer_values``).
     The time series drives the discrete system with the excitation as the
     glottal flow; the folds pressure is the port output and the mouth
-    pressure is read from the state through the tube's second output row
-    (exact, the tube has no feedthrough).
+    pressure is the tube's second output row read from the state as the
+    steps run (``observe``; exact, the tube has no feedthrough), so no
+    state history is kept.  One step of the discrete system is 2 / sigma
+    seconds, so the excitation must be sampled at sigma / 2.
     """
     sys = composite.composite_impedance
+    fs = composite.discrete.sigma / 2.0
     if excitation is None:
-        fs = composite.discrete.sigma / 2.0
         excitation = simulate.ExcitationSpec("LFPulseTrain", f0=120.0,
                                              duration=0.05, sample_rate=fs)
+    if excitation.sample_rate != fs:
+        raise DimensionMismatch(f"excitation sample_rate={excitation.sample_rate} Hz, but the "
+                                f"discrete system at sigma={composite.discrete.sigma} steps "
+                                f"at sigma / 2 = {fs} Hz")
     if response_grid_hz is None:
         response_grid_hz = np.geomspace(30.0, 10000.0, 300)
     res = simulate.resonances(sys)
     resp = simulate.frequency_response(composite, response_grid_hz)
     flow = simulate.excitation_signal(excitation)
-    u = flow.reshape(-1, 1)
-    y, _, states = simulate.step_response(composite.discrete, u, record_energy=True)
+    y = simulate.step_response(composite.discrete, flow.reshape(-1, 1),
+                               observe=composite.mouth_row)
     t = np.arange(flow.size) / excitation.sample_rate
-    p_folds = y[:, 0]
-    p_mouth = states @ composite.mouth_row
-    return WaveguideReport(res, resp, t, flow, p_folds, p_mouth)
+    return WaveguideReport(res, resp, t, flow, y[:, 0], y[:, 1])

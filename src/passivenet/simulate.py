@@ -37,7 +37,7 @@ from .errors import DimensionMismatch, NonPositive
 
 def step_response(phi: DiscreteSystem, inputs: np.ndarray,
                   x0: Optional[np.ndarray] = None,
-                  record_energy=False):
+                  record_energy=False, observe: Optional[np.ndarray] = None):
     """Run the exact recursion x_{j+1} = Ad x_j + Bd u_j, y_j = Cd x_j + Dd u_j.
 
     ``inputs`` has one row per step.  ``record_energy`` selects a per-step
@@ -47,13 +47,18 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
     passive system of that type and zero for a conservative one up to
     roundoff.  The recorded return value is (outputs, balance, states).
 
+    ``observe`` (p x n, or one row of length n) reads the state without
+    recording it: the outputs gain p columns, column m + r holding
+    observe[r] . x_j, and their first m columns keep the same bits.
+
     The N steps run as nb = ceil(N / L) blocks of L = ceil(sqrt(N)) steps
     (``_block_starts`` gives each block's first state).  All blocks then take
     their i-th step together: [x_{j+1}, y_j] = [x_j, u_j] [[Ad', Cd'],
     [Bd', Dd']] for j = bL + i, one GEMM over the blocks per offset i.  Each
     balance pairs x_j with that one-step successor, not with the next
     block's start, so it means the same at block seams as anywhere else.
-    Working memory is nb x n; only the recorded ``states`` are N x n.
+    Working memory is nb x n; only the recorded ``states`` are N x n, and
+    the readouts cost one nb x p product per offset.
 
     Inside a block the arithmetic is the per-step recursion's; the block
     starts carry the rounding of Ad^L.  Rescaling the state units leaves
@@ -76,7 +81,11 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
     if x.shape != (phi.n,):
         raise DimensionMismatch(f"x0 has shape {x.shape}, expected ({phi.n},)")
     n, m = phi.n, phi.m
-    Y = np.empty((nsteps, m))
+    if observe is not None:
+        observe = _as_matrix("observe", np.atleast_2d(observe))
+        if observe.shape[1] != n:
+            raise DimensionMismatch(f"observe has width {observe.shape[1]}, system has n={n}")
+    Y = np.empty((nsteps, m + (0 if observe is None else observe.shape[0])))
     balance = np.empty(nsteps) if record_energy else None
     states = np.empty((nsteps, n)) if record_energy else None
     if nsteps:
@@ -92,7 +101,9 @@ def step_response(phi: DiscreteSystem, inputs: np.ndarray,
             z, zn = Z[:k], Zn[:k]
             np.matmul(z, step, out=zn)         # zn = [x_{j+1}, y_j]
             u, y = z[:, n:], zn[:, n:]
-            Y[i::L] = y
+            Y[i::L, :m] = y
+            if observe is not None:
+                Y[i::L, m:] = z[:, :n] @ observe.T
             if record_energy:
                 states[i::L] = z[:, :n]
                 energy_next = np.einsum("ij,ij->i", zn[:, :n], zn[:, :n])
@@ -204,11 +215,65 @@ class _LFWaveform:
         return U
 
 
-def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
-    # imported here: scipy.optimize is a large share of the CLI's cold start
-    # and serves only these two root finds
-    from scipy.optimize import brentq
+def _brentq(f, xa: float, xb: float) -> Optional[float]:
+    """A root of f between xa and xb by Brent's method, or None.
 
+    A port of scipy.optimize.brentq at its defaults, xtol = 2e-12,
+    rtol = 4 eps and 100 iterations (scipy's brentq.c: the same operations
+    in the same order, so the same root bit for bit).  None means f(xa) and
+    f(xb) share a sign, f gave NaN, or 100 iterations did not converge.
+    Importing scipy.optimize for it would load scipy's sparse, spatial,
+    special and fft packages too: about 20 MB and 0.14 s.
+    """
+    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        return None
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        return None
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry       # good short step
+            else:
+                spre = scur = sbis            # bisect
+        else:
+            spre = scur = sbis                # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            return None
+    return None
+
+
+# net_flow evaluates exp(a Te), which overflows once a Te passes this
+_LF_EXPONENT_CAP = math.log(np.finfo(float).max)
+
+
+def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
     oq, am, qa = shape
     T0 = 1.0 / f0
     Te = oq * T0
@@ -216,8 +281,17 @@ def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
     Ta = qa * (T0 - Te)
     omega_g = math.pi / Tp
     Td = T0 - Te
+
+    def root(f, lo, hi, what):
+        x = _brentq(f, lo, hi)
+        if x is None:
+            raise DimensionMismatch(f"lf_shape={shape} at f0={f0} Hz: no {what} "
+                                    f"in [{lo:.6g}, {hi:.6g}]")
+        return x
+
     # eps solves eps*Ta = 1 - exp(-eps*Td)
-    eps = brentq(lambda e: e * Ta - 1.0 + math.exp(-e * Td), 1e-9 / Ta, 1e3 / Ta)
+    eps = root(lambda e: e * Ta - 1.0 + math.exp(-e * Td), 1e-9 / Ta, 1e3 / Ta,
+               "return-phase decay rate")
 
     def net_flow(a: float) -> float:
         # closed-form integral of E over [0, T0]; zero net flow closes the pulse
@@ -231,10 +305,10 @@ def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
 
     lo, hi = -5.0 / Te, 20.0 / Te
     flo, fhi = net_flow(lo), net_flow(hi)
-    while flo * fhi > 0 and hi < 1e4 / Te:
+    while flo * fhi > 0 and 2.0 * hi * Te < _LF_EXPONENT_CAP:
         hi *= 2
         fhi = net_flow(hi)
-    alpha = brentq(net_flow, lo, hi)
+    alpha = root(net_flow, lo, hi, "growth rate alpha that closes the pulse")
     return _LFWaveform(T0, Te, Tp, Ta, alpha, eps, omega_g)
 
 

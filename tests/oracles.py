@@ -7,7 +7,8 @@ two-port chains, star products by solving the coupled feedthrough
 equations (and their realisations by the component formulas), cascades by
 the block triangle, second-order transfers by the quadratic pencil, the
 terminated waveguide by a dense (or mpmath) solve of its pencil, time stepping one
-sample at a time, FEM assembly one element, basis pair and quadrature point
+sample at a time, a periodic steady state harmonic by harmonic from the
+eigendecomposition, FEM assembly one element, basis pair and quadrature point
 at a time, the tube's top frequency by mpmath Sturm-count bisection.
 """
 
@@ -350,6 +351,43 @@ def step_response_loop(phi, inputs: np.ndarray, x0=None, record_energy=False):
     if record_energy:
         return Y, balance, states
     return Y
+
+
+def periodic_steady_state(sys, sigma: float, period: np.ndarray, rows=None):
+    """One period of the steady state of the bilinear step of ``sys``.
+
+    ``period`` (P x m, P odd) is one period of an input that repeats every
+    P samples.  Harmonic k of the period sees the transfer at the bilinear
+    point s_k = sigma (z_k - 1) / (z_k + 1), z_k = exp(2 pi i k / P), which
+    the internal Cayley transform at ``sigma`` maps it to; an odd P keeps
+    every z_k off -1.  Returns the outputs y_j = Cd x_j + Dd u_j over the
+    period, and with ``rows`` (p x n) also the readouts rows . x_j of the
+    discrete state, whose harmonic k is sqrt(2 sigma) / (z_k + 1) times
+    rows (s_k I - A)^-1 B U_k.  The mean (k = 0, s = 0) is left out of
+    both.  The resolvent comes from the eigendecomposition of A, not from a
+    factorisation per point, so its rounding grows with the condition of
+    the eigenvectors.
+    """
+    period = np.asarray(period, dtype=float)
+    P = period.shape[0]
+    if P % 2 == 0:
+        raise ValueError(f"period length {P} is even: z = -1 is a harmonic")
+    U = np.fft.rfft(period, axis=0)[1:]                    # harmonics 1 .. (P - 1) / 2
+    z = np.exp(2j * np.pi * np.arange(1, U.shape[0] + 1) / P)
+    s = sigma * (z - 1) / (z + 1)
+    lam, V = np.linalg.eig(sys.A)
+    # column k of modal is V^-1 (s_k I - A)^-1 B U_k
+    modal = (np.linalg.solve(V, sys.B) @ U.T) / (s[None, :] - lam[:, None])
+
+    def series(harmonics):                                 # zero mean, P samples
+        full = np.vstack([np.zeros((1, harmonics.shape[1])), harmonics])
+        return np.fft.irfft(full, n=P, axis=0)
+
+    Y = series((sys.C @ V @ modal).T + U @ sys.D.T)
+    if rows is None:
+        return Y
+    rows = np.atleast_2d(rows)
+    return Y, series((np.sqrt(2.0 * sigma) / (z + 1))[:, None] * (rows @ V @ modal).T)
 
 
 def _element_dofs(e: int, n: int) -> list[int]:

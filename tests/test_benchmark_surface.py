@@ -3,6 +3,8 @@
 Every function ``perfbench/layers.py`` traces must resolve, and every
 workload must run its smoke size end to end with every check passing, so a
 rename or a changed model field fails here rather than in a benchmark run.
+perfbench's own runner must also pass the waveguide smoke, traced and
+untraced, because its hooks read the shape of the library's results.
 It runs in its own interpreter: perfbench's ``oracles`` module would clash
 with ``tests/oracles.py``.
 """
@@ -43,3 +45,33 @@ def test_perfbench_workloads_run_and_pass(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "surface ok" in proc.stdout
+
+
+SMOKE_RUN = textwrap.dedent("""
+    import contextlib
+    import io
+    import sys
+    from pathlib import Path
+
+    import run
+
+    run.OUT = Path(sys.argv[1])
+    for trace in (False, True):
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            result = run.run("waveguide", 0, 0.0, trace, smoke=True, probes=1)
+            run.report(result)
+        assert result.correct, text.getvalue()
+        print(f"waveguide trace {int(trace)}: ok")
+""")
+
+
+def test_perfbench_waveguide_smoke_runs_traced_and_untraced(tmp_path):
+    # the harness itself, not just the workload: its step-response hook reads
+    # the shape of step_response's result, so a result-shape change fails here
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+    proc = subprocess.run([sys.executable, "-c", SMOKE_RUN, str(tmp_path)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["waveguide", "trace", "0:", "ok",
+                                   "waveguide", "trace", "1:", "ok"]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestPipelinesCli:
         # scipy.optimize serves one LF root find; loading it at import time
         # was a large share of every command's cold start
         code = "import sys, passivenet.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_cli_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_excitation_and_report_leave_scipy_optimize_unloaded(self):
+        # the LF root finds use simulate's own Brent routine: scipy.optimize
+        # would load about 20 MB of scipy packages into every waveguide run
+        code = textwrap.dedent("""
+            import sys
+            from passivenet import pipelines, simulate
+            spec = simulate.ExcitationSpec("LFPulseTrain", f0=120.0, duration=0.01,
+                                           sample_rate=44100.0)
+            simulate.excitation_signal(spec)
+            comp = pipelines.waveguide_compose(
+                pipelines.WaveguideConfig(n=24, k=12, sample_points=80))
+            pipelines.waveguide_report(comp, spec, response_grid_hz=[100.0])
+            print('scipy.optimize' in sys.modules)
+        """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_cli_env())
         assert proc.returncode == 0, proc.stderr

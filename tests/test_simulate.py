@@ -1,5 +1,7 @@
 """Time stepping, excitations, resonance extraction, frequency sweeps."""
 
+import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passivenet import websterfem
+from passivenet import simulate, websterfem
 from passivenet.core import DiscreteSystem, StateSpaceSystem, transfer_function
 from passivenet.errors import DimensionMismatch, NonPositive
 from passivenet.simulate import (
@@ -183,6 +185,61 @@ class TestBlockStepping:
         assert unrecorded_peak <= big / 4
         assert recorded_peak - Y.nbytes <= big + big / 4    # the first Y is still held
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 2),
+           p=st.integers(1, 3),
+           nsteps=st.integers(2, 9).flatmap(lambda L: st.sampled_from(_block_edge_lengths(L))))
+    def test_observe_matches_recorded_states(self, seed, n, m, p, nsteps):
+        # the readouts equal states @ P' of the recorded path, and asking
+        # for them leaves the outputs' bits alone, at every block seam
+        rng = np.random.default_rng(seed)
+        phi = internal_cayley(random_impedance_passive(rng, n, m, 0), 3.0)
+        u, x0 = rng.standard_normal((nsteps, m)), rng.standard_normal(n)
+        P = rng.standard_normal((p, n))
+        Y = step_response(phi, u, x0=x0)
+        Y_rec, _, states = step_response(phi, u, x0=x0, record_energy=True)
+        Y_obs = step_response(phi, u, x0=x0, observe=P)
+        assert Y_obs.shape == (nsteps, m + p)
+        np.testing.assert_array_equal(Y_obs[:, :m], Y)
+        np.testing.assert_array_equal(Y_obs[:, :m], Y_rec)
+        assert normwise(Y_obs[:, m:], states @ P.T) <= 1e-14
+
+    def test_observe_one_row_and_with_energy(self, rng):
+        phi = internal_cayley(random_impedance_passive(rng, 5, 1, 0), 2.0)
+        u, row = rng.standard_normal((40, 1)), rng.standard_normal(5)
+        Y, balance, states = step_response(phi, u, record_energy=True, observe=row)
+        Y_rec, balance_rec, states_rec = step_response(phi, u, record_energy=True)
+        np.testing.assert_array_equal(Y[:, :1], Y_rec)
+        np.testing.assert_array_equal(balance, balance_rec)
+        np.testing.assert_array_equal(states, states_rec)
+        assert normwise(Y[:, 1], states @ row) <= 1e-14
+        assert step_response(phi, np.zeros((0, 1)), observe=row).shape == (0, 2)
+
+    @pytest.mark.parametrize("observe, match", [
+        (np.ones((2, 4)), "^observe has width 4, system has n=5"),
+        (np.ones(6), "^observe has width 6, system has n=5"),
+        (np.full((1, 5), np.nan), "^observe contains non-finite"),
+        (np.ones((1, 1, 5)), "^observe must be a 2-D real matrix")])
+    def test_observe_shape_and_values_checked(self, rng, observe, match):
+        phi = internal_cayley(random_impedance_passive(rng, 5, 1, 0), 2.0)
+        with pytest.raises(DimensionMismatch, match=match):
+            step_response(phi, np.ones((3, 1)), observe=observe)
+
+    def test_observed_path_keeps_only_block_memory(self, rng):
+        # readouts instead of the N x n state record: the peak stays below a
+        # quarter of one N x n array, as on the unrecorded path
+        n, nsteps = 50, 10000
+        phi = internal_cayley(random_impedance_passive(rng, n, 1, 0), 3.0)
+        u, P = rng.standard_normal((nsteps, 1)), rng.standard_normal((2, n))
+        tracemalloc.start()
+        try:
+            Y = step_response(phi, u, observe=P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Y.shape == (nsteps, 3)
+        assert peak <= nsteps * n * 8 / 4
+
 
 class TestExcitations:
     def test_lf_period_and_positivity(self):
@@ -262,6 +319,52 @@ class TestExcitations:
         x = excitation_signal(spec)
         assert x[0] == 1.0 and np.count_nonzero(x) == 1
         assert np.array_equal(x, impulse(spec))
+
+    def test_brent_port_matches_scipy_brentq(self, monkeypatch):
+        # every root find of the LF solve returns scipy's root bit for bit
+        from scipy.optimize import brentq
+        port = simulate._brentq
+        finds = []
+
+        def both(f, lo, hi):
+            got = port(f, lo, hi)
+            finds.append((got, brentq(f, lo, hi)))
+            return got
+
+        monkeypatch.setattr(simulate, "_brentq", both)
+        shapes = itertools.product((0.05, 0.3, 0.6, 0.95), (0.1, 0.5, 0.7, 0.99),
+                                   (0.01, 0.1, 0.5, 0.9))
+        for f0, shape in itertools.product((55.0, 120.0, 333.3, 1000.0), shapes):
+            simulate._solve_lf(f0, shape)
+        assert len(finds) == 2 * 4 * 64
+        assert all(got == want for got, want in finds)
+
+    def test_brent_port_reports_no_root(self):
+        assert simulate._brentq(lambda x: x * x + 1.0, -1.0, 1.0) is None
+        assert simulate._brentq(lambda x: float("nan"), -1.0, 1.0) is None
+        # a step leaves only bisection, and 100 halvings of 2e300 stay wide
+        assert simulate._brentq(lambda x: 1.0 if x > 1.0 else -1.0, -1e300, 1e300) is None
+        assert simulate._brentq(lambda x: 1.0 if x > 1.0 else -1.0, -1e6, 1e6) == \
+            pytest.approx(1.0, abs=1e-11)
+
+    def test_lf_solve_that_does_not_converge_names_the_shape(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_brentq", lambda f, lo, hi: None)
+        spec = ExcitationSpec("LFPulseTrain", f0=120.0, duration=0.05, sample_rate=44100.0)
+        with pytest.raises(DimensionMismatch, match=r"^lf_shape=\(0.6, 0.7, 0.1\) at f0=120.0 Hz"):
+            excitation_signal(spec)
+
+    # the shapes of {0.01, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99}^3 whose
+    # net flow keeps one sign until exp(alpha Te) overflows; they raised a
+    # bare OverflowError from the bracket search
+    @pytest.mark.parametrize("shape", [(0.01, am, qa) for am in (0.3, 0.7)
+                                       for qa in (0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+                             + [(0.01, 0.9, qa) for qa in (0.7, 0.9, 0.95, 0.99)])
+    def test_lf_shape_without_closing_alpha_rejected(self, shape):
+        spec = ExcitationSpec("LFPulseTrain", f0=120.0, duration=0.05, sample_rate=44100.0,
+                              lf_shape=shape)
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^lf_shape={re.escape(str(shape))} .*no growth rate alpha"):
+            excitation_signal(spec)
 
 
 class TestResonances:
