@@ -20,6 +20,7 @@ from .passivity import (  # noqa: F401
     discrete_impedance_certificate,
     discrete_scattering_certificate,
     impedance_certificate,
+    impedance_violation_bands,
     properly_impedance_passive,
     scattering_conservative_check,
     scattering_passive_via_cayley,

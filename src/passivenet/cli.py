@@ -34,10 +34,9 @@ from .passivity import (
 )
 
 def _tolerance_policy() -> dict:
-    from .core import COND_LIMIT, RCOND_FLOOR, RANK_RTOL
+    from .core import RCOND_FLOOR, RANK_RTOL
     from .passivity import CONSERVATIVE_RTOL
     return {"rcond_floor": RCOND_FLOOR, "rank_rtol": RANK_RTOL,
-            "block_condition_limit": COND_LIMIT,
             "conservative_rtol": CONSERVATIVE_RTOL}
 
 

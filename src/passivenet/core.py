@@ -27,13 +27,9 @@ from .errors import DimensionMismatch, NearSpectrum, NotSPD, SingularBlock
 SYMMETRY_RTOL = 1e-10
 DEFINITE_RTOL = 1e-12
 
-#: Relative reciprocal-condition threshold below which a resolvent solve
-#: is rejected as "on top of the spectrum".
+#: The gate's floor: a solve is rejected when its sigma_min estimate is below
+#: RCOND_FLOOR times the row scale, unless the site passes its own floor.
 RCOND_FLOOR = 1e-12
-
-#: Condition limit for one-off block inversions (transforms, Cayley steps,
-#: feedback loop); sites with their own limit pass it to ``_gate``.
-COND_LIMIT = 1e12
 
 #: Singular values below this fraction of the largest count as zero in
 #: rank decisions (Kalman matrices are badly graded; a relative cut is the
@@ -196,31 +192,6 @@ class DiscreteSystem:
         return self.Dd.shape[0]
 
 
-def _condition(M: np.ndarray, scale: float | None = None) -> float:
-    """scale / sigma_min(M) from one SVD; ``scale`` defaults to sigma_max
-    (the 2-norm condition number).  inf for singular M, 1.0 for empty M."""
-    if M.size == 0:
-        return 1.0
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] == 0.0:
-        return np.inf
-    return float((sv[0] if scale is None else scale) / sv[-1])
-
-
-def _gate(M: np.ndarray, exc_type, message: str, limit: float = COND_LIMIT) -> None:
-    """Raise exc_type(message) when cond_2(M) exceeds ``limit``; the message
-    may reference the measured condition as ``{cond}``."""
-    cond = _condition(M)
-    if cond > limit:
-        raise exc_type(message.format(cond=cond))
-
-
-def _gated_inv(M: np.ndarray, exc_type, name: str) -> np.ndarray:
-    """Invert square M, raising exc_type with the block name if cond > COND_LIMIT."""
-    _gate(M, exc_type, name + " is numerically singular (condition {cond:.3e})")
-    return np.linalg.inv(M)
-
-
 @functools.lru_cache(maxsize=8)
 def _gate_probes(n: int) -> np.ndarray:
     """The near-spectrum gate's two seeded unit probes of size n (read-only
@@ -232,17 +203,16 @@ def _gate_probes(n: int) -> np.ndarray:
     return probes
 
 
-def _near_spectrum_gate(norms: np.ndarray, rows: np.ndarray):
-    """The near-spectrum gate of the resolvent plan and the banded sweep:
-    (sigma, scale, ok) from the norms of the probes' solutions and their
-    inverse-power steps (last axis) and the matrix's row maxima (axis 0).
+def _near_spectrum_gate(norms: np.ndarray, rows: np.ndarray, floor: float | None = None):
+    """The package's one invertibility gate: (sigma, scale, ok) from the
+    norms of the probes' solutions and their inverse-power steps (last
+    axis) and the matrix's row maxima (axis 0).
 
-    sigma estimates sigma_min as 1 / the largest norm, and reads 0 where a
-    solve is not finite; scale is the median row max; ok is sigma >=
-    RCOND_FLOOR * scale, with RCOND_FLOOR read at call time.  The median
-    row scale rather than sigma_max keeps the gate meaningful for stiff
-    systems, where one huge decoupled mode would otherwise condemn every
-    point.
+    sigma estimates sigma_min as 1 / the largest norm (0 where a solve is
+    not finite); scale is the median row max, which keeps the gate
+    meaningful for stiff systems, where sigma_max would let one huge
+    decoupled mode condemn every point; ok is sigma >= floor * scale, the
+    floor RCOND_FLOOR read at call time unless given.
     """
     inv_norm = norms.max(axis=-1)
     sigma = np.where(np.isnan(inv_norm), 0.0, 1.0 / inv_norm)
@@ -250,7 +220,41 @@ def _near_spectrum_gate(norms: np.ndarray, rows: np.ndarray):
     # the median, as np.median takes it but cheaper
     mid = np.partition(rows, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2:n // 2 + 1]
     scale = mid.sum(axis=0) / mid.shape[0]
-    return sigma, scale, np.isfinite(sigma) & (sigma > 0.0) & (sigma >= RCOND_FLOOR * scale)
+    floor = RCOND_FLOOR if floor is None else floor
+    return sigma, scale, np.isfinite(sigma) & (sigma > 0.0) & (sigma >= floor * scale)
+
+
+def _gate_message(message: str, sigma: float, scale: float) -> str:
+    """What a gate raises: ``message`` and the measure it failed on."""
+    return message + f" (sigma_min ~ {sigma:.2e} vs row scale {scale:.2e})"
+
+
+def _gate_sigma(M: np.ndarray, floor: float | None = None) -> tuple[float, float, bool]:
+    """(sigma, scale, ok) of _near_spectrum_gate on one non-empty real square
+    M, its probes and their inverse-power step taken by np.linalg.solve as
+    four real columns.  An exactly singular M reads sigma 0."""
+    probes = _gate_probes(M.shape[0])
+    X, norms = np.hstack([probes.real, probes.imag]), np.zeros(2)
+    with np.errstate(all="ignore"):
+        try:
+            for _ in range(2):
+                X = np.linalg.solve(M, X).reshape(-1, 2, 2)  # (row, real/imag, probe)
+                norm = np.linalg.norm(X, axis=(0, 1))
+                norms, X = np.maximum(norms, norm), (X / norm).reshape(-1, 4)
+        except np.linalg.LinAlgError:
+            norms = np.full(2, np.nan)
+    sigma, scale, ok = _near_spectrum_gate(norms, np.abs(M).max(axis=1), floor)
+    return float(sigma), float(scale), bool(ok)
+
+
+def _gated_solve(M: np.ndarray, Y: np.ndarray, exc_type, message: str,
+                 floor: float | None = None) -> np.ndarray:
+    """np.linalg.solve(M, Y) where _gate_sigma passes M, else
+    exc_type(``message`` and the measure); an empty M passes."""
+    sigma, scale, ok = _gate_sigma(M, floor) if M.size else (1.0, 1.0, True)
+    if not ok:
+        raise exc_type(_gate_message(message, sigma, scale))
+    return np.linalg.solve(M, Y)
 
 
 #: Points per round of a resolvent plan: no point's solve depends on its
@@ -422,8 +426,7 @@ class _ResolventPlan:
         """The value at one point; NearSpectrum(message + measure) if gated."""
         values, ok, sigma, scale = self.evaluate([s])
         if not ok[0]:
-            raise NearSpectrum(message + f" (sigma_min ~ {sigma[0]:.2e} "
-                                         f"vs row scale {scale[0]:.2e})")
+            raise NearSpectrum(_gate_message(message, sigma[0], scale[0]))
         return values[0]
 
 
@@ -513,7 +516,7 @@ def cascade_product(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSyste
 def similarity(sys: StateSpaceSystem, T: np.ndarray) -> StateSpaceSystem:
     """Change state coordinates x -> T^-1 x; the transfer function is unchanged."""
     T = _as_matrix("T", T, (sys.n, sys.n))
-    Tinv = _gated_inv(T, SingularBlock, "T")
+    Tinv = _gated_solve(T, np.eye(sys.n), SingularBlock, "T is numerically singular")
     return sys.replace(A=Tinv @ sys.A @ T, B=Tinv @ sys.B, C=sys.C @ T)
 
 

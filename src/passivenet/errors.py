@@ -1,8 +1,8 @@
 """Exception types shared across the toolkit.
 
 Every numerically-gated operation raises one of these instead of letting a
-LinAlgError or silent garbage escape.  The condition-number gates report the
-offending block by name so CLI users can see which inverse failed.
+LinAlgError or silent garbage escape.  The gates report the offending block
+by name and measure so CLI users can see which inverse failed.
 """
 
 
@@ -11,7 +11,7 @@ class PassiveNetError(Exception):
 
 
 class GateError(PassiveNetError):
-    """A numerical gate fired (a needed inverse is too ill-conditioned); CLI exit 3."""
+    """A numerical gate fired (a needed inverse is too near singular); CLI exit 3."""
 
 
 class DimensionMismatch(PassiveNetError):
@@ -23,7 +23,7 @@ class SplitMismatch(PassiveNetError):
 
 
 class NearSpectrum(GateError):
-    """A resolvent solve (s - A)^-1 is too ill-conditioned to trust."""
+    """A resolvent solve (s - A)^-1 is too near singular to trust."""
 
 
 class SingularFeedthrough(GateError):
@@ -70,7 +70,8 @@ class ResistanceMismatch(PassiveNetError):
 
 
 class NotProperlyPassive(PassiveNetError):
-    """Neither operand of an unregularised star product is properly passive."""
+    """A star product's operands cannot be made properly passive: neither
+    is, unregularised, or a shifted one violates passivity on some band."""
 
 
 class NotSPD(DimensionMismatch):

@@ -23,9 +23,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import COND_LIMIT, StateSpaceSystem, _condition, _require_positive
-from .errors import DimensionMismatch, NotProperlyPassive, NotWellPosed, ResistanceMismatch
-from .passivity import properly_impedance_passive
+from .core import StateSpaceSystem, _gate_sigma, _require_positive
+from .errors import (DimensionMismatch, NotProperlyPassive, NotSPD, NotWellPosed,
+                     ResistanceMismatch)
+from .passivity import impedance_violation_bands, properly_impedance_passive
 from .transforms import (
     ResistanceMatrix,
     chain_transform,
@@ -38,7 +39,7 @@ from . import core
 
 @dataclass(frozen=True)
 class WellPosednessReport:
-    """Condition numbers of the loop matrices plus the contraction margin."""
+    """Conditions (scale / sigma_min) of the loop matrices plus the contraction margin."""
 
     delta1_condition: float
     delta2_condition: float
@@ -60,10 +61,10 @@ def well_posedness(p: StateSpaceSystem, q: StateSpaceSystem) -> WellPosednessRep
     # sigma_max / sigma_min misses the Delta ~ 0 case (a uniformly tiny
     # matrix can look well conditioned), so measure against the data scale
     scale = 1.0 + np_ * nq
-    d1 = _condition(np.eye(k) - Dp22 @ Dq11, scale)
-    d2 = _condition(np.eye(k) - Dq11 @ Dp22, scale)
+    sigmas = [_gate_sigma(np.eye(k) - X)[0] if k else scale for X in (Dp22 @ Dq11, Dq11 @ Dp22)]
+    d1, d2 = (scale / sigma if sigma > 0.0 else np.inf for sigma in sigmas)
     return WellPosednessReport(d1, d2, np_ + nq,
-                               well_posed=(d1 <= COND_LIMIT and d2 <= COND_LIMIT))
+                               well_posed=min(sigmas) >= core.RCOND_FLOOR * scale)
 
 
 def star_product(p: StateSpaceSystem, q: StateSpaceSystem) -> StateSpaceSystem:
@@ -119,12 +120,15 @@ def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
     """Couple two impedance systems through their external Cayley transforms.
 
     The coupled channel must use one resistance block (Rp.R2 == Rq.R1
-    entrywise).  Only when neither operand is shifted (both eps 0) is one of
-    them required to be properly impedance passive (NotProperlyPassive
-    otherwise); with a shift nothing about passivity is checked here, and
-    the star product's well-posedness gate is the only check on the loop.
-    With ``impedance=True`` the result is transformed back to impedance form
-    against diag(Rp.R1, Rq.R2).
+    entrywise).  When neither operand is shifted (both eps 0), one of them
+    must be properly impedance passive.  Every operand whose D + D^T is
+    positive definite after its shift must also be passive at every
+    frequency (``passivity.impedance_violation_bands``): the shift makes a
+    passive operand properly passive, so that the coupled loop is well-posed
+    and the composite passive, hence stable, but it cannot mend an operand
+    that is not passive.  Either failure raises NotProperlyPassive, the
+    second naming the operand and its bands.  With ``impedance=True`` the
+    result is transformed back to impedance form against diag(Rp.R1, Rq.R2).
     """
     if Rp.R2.shape != Rq.R1.shape or not np.array_equal(Rp.R2, Rq.R1):
         raise ResistanceMismatch(
@@ -136,6 +140,16 @@ def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
         raise NotProperlyPassive(
             "neither operand is properly impedance passive and no "
             "regularisation was requested")
+    for name, sys, eps in (("p_i", p_sh, epsilon_p), ("q_i", q_sh, epsilon_q)):
+        try:
+            bands = impedance_violation_bands(sys)
+        except NotSPD:  # D + D^T is not positive definite: nothing to check
+            continue
+        if bands:
+            raise NotProperlyPassive(
+                f"{name} + {eps:.4g} I is not impedance passive on "
+                + ", ".join(f"{lo:.4g} to {hi:.4g}" for lo, hi in bands)
+                + " rad/s, so the coupled system may be unstable")
     prod = star_product(external_cayley(p_sh, Rp), external_cayley(q_sh, Rq))
     if impedance:
         R = ResistanceMatrix(Rp.R1, Rq.R2)

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _freeze, _gate, _require_positive
+from .core import StateSpaceSystem, _freeze, _gated_solve, _require_positive
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -46,14 +46,11 @@ SERIES_RADIUS = 24.0
 #: Documented accuracy envelope of the special-function evaluators.
 ENVELOPE_RADIUS = 200.0
 
-#: Default rejection threshold for the projected pencil condition in
-#: reduce_order.  The piston Loewner matrix has numerical rank ~13 inside
-#: the usual sampling square, so the "one order past the noise floor"
-#: reductions the waveguide application needs sit at condition 1e15..1e17;
-#: those extra directions carry negligible residues and are harmless, so
-#: the default gate only guards against an exactly singular projection.
-#: Pass a tighter limit (e.g. 1e12) to enforce a genuinely regular pencil.
-DEFAULT_CONDITION_LIMIT = 1e18
+#: Gate limit on reduce_order's projected pencil Lk = diag(sigma_1..k) of L,
+#: whose measure is sigma_median / sigma_k (2e4 to 3e10 on the waveguide
+#: loads, where cond_2 reaches 1e16): it guards only against an exactly
+#: singular projection, as the extra directions are harmless.
+PENCIL_LIMIT = 1e18
 
 #: Log-spaced point pairs ``default_scheme`` places above its square.
 _ANCHOR_PAIRS = 8
@@ -325,14 +322,14 @@ def realify(interp: DescriptorInterpolant) -> DescriptorInterpolant:
     return DescriptorInterpolant(Lr.real, Mr.real, br.real, cr.real, is_real=True)
 
 
-def reduce_order(interp: DescriptorInterpolant, k: int,
-                 condition_limit: float = DEFAULT_CONDITION_LIMIT) -> DescriptorInterpolant:
+def reduce_order(interp: DescriptorInterpolant, k: int) -> DescriptorInterpolant:
     """Project onto the k leading SVD directions of L and realise explicitly.
 
     Returns a copy of the interpolant with ``reduced`` set to the
     single-port system (Lk^-1 Mk, -Lk^-1 Uk' b, c Vk, 0) and
     ``singular_values`` carrying the full spectrum of L for drop reports.
-    Raises RankDeficient when the projected pencil is numerically singular.
+    Raises RankDeficient when the projected pencil is numerically singular
+    (the gate of ``core._gated_solve`` at PENCIL_LIMIT).
     """
     if not interp.is_real:
         interp = realify(interp)
@@ -344,9 +341,9 @@ def reduce_order(interp: DescriptorInterpolant, k: int,
     Vk = Vt[:k].T
     Lk = Uk.T @ interp.L_mat @ Vk
     Mk = Uk.T @ interp.M_mat @ Vk
-    _gate(Lk, RankDeficient, f"projected Loewner pencil condition {{cond:.3e}} at order {k}",
-          limit=condition_limit)
-    X = np.linalg.solve(Lk, np.column_stack([Mk, Uk.T @ interp.b]))
+    X = _gated_solve(Lk, np.column_stack([Mk, Uk.T @ interp.b]), RankDeficient,
+                     f"projected Loewner pencil is numerically singular at order {k}",
+                     floor=1.0 / PENCIL_LIMIT)
     A, B = X[:, :k], -X[:, k:]
     C = (interp.c @ Vk).reshape(1, -1)
     sys = StateSpaceSystem(A, B, C, np.zeros((1, 1)), split=(1, 0))

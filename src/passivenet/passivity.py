@@ -10,6 +10,11 @@ Every verdict carries a signed margin (the matrix's largest eigenvalue,
 positive means violation) so callers such as the regularisation and
 star-product code can reason about how close to the boundary a system sits.
 
+``impedance_violation_bands`` answers a different question, for systems
+with D + D^T > 0: on which frequency bands passivity fails, from the
+imaginary-axis eigenvalues of a Hamiltonian matrix, which do not depend on
+the state coordinates.
+
 Tolerance policy: a test matrix counts as vanishing when its 2-norm is below
 ``CONSERVATIVE_RTOL`` times (1 + the largest entry of A, B, C, D); a margin
 within ``CONSERVATIVE_RTOL`` (1 + the matrix's norm) of zero counts as the
@@ -22,10 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteSystem, StateSpaceSystem
+from .core import DiscreteSystem, StateSpaceSystem, _gate_sigma, _symmetric_eig
 from . import transforms
 
 CONSERVATIVE_RTOL = 1e-10
+
+#: A Hamiltonian eigenvalue counts as on the imaginary axis when |Re| is
+#: within this fraction of its modulus.  Generous on purpose: a spurious
+#: candidate only splits a band, which the midpoint test then rejects.
+AXIS_RTOL = 1e-6
+
+#: The relative error of a gated transfer value per unit of its gate
+#: measure (row scale / sigma_min): about 45 eps_machine, where
+#: eps_machine / 2 already lets the poles of lossless operands read as
+#: violations.
+EVAL_RTOL = 1e-14
 
 CONSERVATIVE = "Conservative"
 STRICTLY_PASSIVE = "StrictlyPassive"
@@ -152,3 +168,50 @@ def properly_impedance_passive(sys: StateSpaceSystem) -> tuple[bool, float]:
     if margin <= CONSERVATIVE_RTOL * float(np.linalg.norm(sys.D, 2)):
         return False, margin
     return impedance_certificate(sys).passive, margin
+
+
+def impedance_violation_bands(sys: StateSpaceSystem) -> list[tuple[float, float]]:
+    """The bands (lo, hi) in rad/s, 0 <= lo < hi, on which the impedance
+    system violates passivity: its Popov function G(iw) + G(iw)^H has a
+    negative eigenvalue there.  Needs R = D + D^T positive definite
+    (``core._symmetric_eig`` raises NotSPD otherwise).
+
+    The band edges are among the w >= 0 with iw an eigenvalue of the
+    Hamiltonian [[F, -B R^-1 B^T], [C^T R^-1 C, -F^T]], F = A - B R^-1 C,
+    which are the zeros of det(G(iw) + G(iw)^H) (Boyd, Balakrishnan and
+    Kabamba, MCSS 2, 1989).  Past the last one the Popov function keeps
+    the sign of R > 0, its value at infinity.  Each interval between
+    neighbouring candidates is confirmed by the Popov function at its
+    midpoint, and confirmed neighbours merge into one band.  G(iw) is
+    solved in real form behind ``core._gate_sigma``; a midpoint confirms
+    nothing where the gate rejects it, or where the negative eigenvalue is
+    within the evaluation error EVAL_RTOL (row scale / sigma_min) |G|:
+    next to a pole of a lossless operand, where G + G^H = R exactly, that
+    error swamps the sum.
+    """
+    _, w, V = _symmetric_eig("D + D^T", sys.D + sys.D.T, definite=True)
+    Rinv = (V / w) @ V.T
+    F = sys.A - sys.B @ Rinv @ sys.C
+    lam = np.linalg.eigvals(np.block([[F, -sys.B @ Rinv @ sys.B.T],
+                                      [sys.C.T @ Rinv @ sys.C, -F.T]]))
+    axis = lam[np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)]
+    edges = np.unique(np.concatenate([[0.0], np.abs(axis.imag)]))
+    n, bands = sys.n, []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # i mid I - A in real form, acting on (Re x, Im x)
+        mid, eye = 0.5 * (lo + hi), np.eye(n)
+        E = np.block([[-sys.A, -mid * eye], [mid * eye, -sys.A]])
+        sigma, scale, ok = _gate_sigma(E)
+        if not ok:
+            continue
+        X = np.linalg.solve(E, np.vstack([sys.B, np.zeros_like(sys.B)]))
+        G = sys.D + sys.C @ (X[:n] + 1j * X[n:])
+        popov = np.linalg.eigvalsh(G + G.conj().T)
+        error = EVAL_RTOL * scale / sigma * np.abs(G).max()
+        if popov[0] >= -max(CONSERVATIVE_RTOL * np.abs(popov).max(), error):
+            continue
+        if bands and bands[-1][1] == lo:
+            bands[-1] = (bands[-1][0], float(hi))
+        else:
+            bands.append((float(lo), float(hi)))
+    return bands

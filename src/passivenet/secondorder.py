@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StateSpaceSystem, _as_matrix, _freeze, _gate, _symmetric_eig
+from .core import StateSpaceSystem, _as_matrix, _freeze, _gated_solve, _symmetric_eig
 from .errors import DimensionMismatch, SingularStiffness
 
 
@@ -99,9 +99,9 @@ def first_order_realization(so: SecondOrderSystem, method: str = "colocated",
         B = np.vstack([np.zeros((m, k)), X])
         C = np.hstack([np.zeros((k, m)), X.T])  # co-located: C = B^T bitwise
     elif method == "general":
-        _gate(Kh, SingularStiffness,
-              "general path needs invertible K; use the colocated path", limit=1e6)
-        Kih = np.linalg.inv(Kh)
+        Kih = _gated_solve(Kh, np.eye(m), SingularStiffness,
+                           "general path needs invertible K; use the colocated path",
+                           floor=1e-6)
         B = np.vstack([np.zeros((m, k)), Mih @ so.F]) / np.sqrt(2.0)
         C = np.sqrt(2.0) * np.hstack([so.Q1 @ Kih, so.Q2 @ Mih])
     else:

@@ -21,8 +21,8 @@ hybrid transform partially flow-inverts the bottom port with a sign
 reversal, and the chain pair re-partitions a two-port so that cascading
 equals Redheffer coupling.
 
-Every inversion is gated on the condition number of the inverted block
-(limit 1e12) and reports the block name and condition on failure.
+Every inversion and Cayley step is a ``core._gated_solve`` (limit 1e12 on
+row scale / sigma_min) and reports the block name and measure on failure.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-# COND_LIMIT stays importable from here; the gate itself lives in core
-from .core import (COND_LIMIT, DiscreteSystem, StateSpaceSystem,  # noqa: F401
-                   _freeze, _gate, _gated_inv, _require_positive, _symmetric_eig)
+from .core import (DiscreteSystem, StateSpaceSystem, _freeze, _gated_solve, _require_positive,
+                   _symmetric_eig)
 from .errors import (
     DimensionMismatch,
     MinusOneEigenvalue,
@@ -63,7 +62,8 @@ def _exchange(sys: StateSpaceSystem, inputs: slice, outputs: slice, exc_type,
     output y_O becomes an input in u_I's slot and u_I an output in y_O's
     slot; every other signal keeps its place.
     """
-    X = _gated_inv(sys.D[outputs, inputs], exc_type, block)
+    M = sys.D[outputs, inputs]
+    X = _gated_solve(M, np.eye(M.shape[0]), exc_type, f"{block} is numerically singular")
     Co, Do = sys.C[outputs], sys.D[outputs]
     BX, DX = sys.B[:, inputs] @ X, sys.D[:, inputs] @ X
     B, C, D = sys.B - BX @ Do, sys.C - DX @ Co, sys.D - DX @ Do
@@ -126,10 +126,9 @@ def bottom_inversion(sys: StateSpaceSystem) -> StateSpaceSystem:
 
 def _moebius(M: np.ndarray, N: np.ndarray, B: np.ndarray, C: np.ndarray,
              exc_type, message: str):
-    """(M^-1 N, M^-1 B, C M^-1) behind the COND_LIMIT gate on M: the step
-    both Cayley directions share."""
-    _gate(M, exc_type, message)
-    X = np.linalg.solve(M, np.hstack([N, B]))
+    """(M^-1 N, M^-1 B, C M^-1) behind the gate on M, which measures its nearness
+    to singularity, not its stiffness: the step both Cayley directions share."""
+    X = _gated_solve(M, np.hstack([N, B]), exc_type, message)
     n = M.shape[0]
     return X[:, :n], X[:, n:], np.linalg.solve(M.T, C.T).T
 
@@ -161,7 +160,7 @@ def inverse_internal_cayley(phi: DiscreteSystem) -> StateSpaceSystem:
 
 def internal_reciprocal(sys: StateSpaceSystem) -> StateSpaceSystem:
     """Reciprocal system (A^-1, A^-1 B, -C A^-1, G(0)); G_-(s) = G(1/s)."""
-    Ainv = _gated_inv(sys.A, SingularGenerator, "A")
+    Ainv = _gated_solve(sys.A, np.eye(sys.n), SingularGenerator, "A is numerically singular")
     return StateSpaceSystem(Ainv, Ainv @ sys.B, -sys.C @ Ainv,
                             sys.D - sys.C @ Ainv @ sys.B, split=sys.split)
 
@@ -214,7 +213,8 @@ def _external(sys: StateSpaceSystem, R: ResistanceMatrix, shifted, sign: float,
     if R.split != sys.split:
         raise DimensionMismatch(
             f"resistance split {R.split} does not match system split {sys.split}")
-    X = _gated_inv(shifted(sys.D), exc_type, block)
+    X = _gated_solve(shifted(sys.D), np.eye(sys.m), exc_type,
+                     f"{block} is numerically singular")
     Rh = R.sqrt
     B = np.sqrt(2.0) * sys.B @ X @ Rh
     C = np.sqrt(2.0) * Rh @ X @ sys.C

@@ -280,7 +280,7 @@ class TestPipelinesCli:
 
     def test_waveguide_run_and_determinism(self, tmp_path):
         cfg = tmp_path / "wg.json"
-        cfg.write_text(json.dumps({"n": 16, "k": 10, "sample_points": 60,
+        cfg.write_text(json.dumps({"n": 16, "k": 12, "sample_points": 60,
                                    "seed": 11}))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -290,6 +290,17 @@ class TestPipelinesCli:
                      "composite.json", "scheme.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert json.loads((out1 / "manifest.json").read_text())["seed"] == 11
+
+    def test_waveguide_load_that_is_not_passive_exits_one(self, tmp_path):
+        # at k = 10 the shifted load has negative resistance on a band that
+        # holds a tube mode, and the composite would grow at Re 6e4 /s there
+        cfg = tmp_path / "wg.json"
+        cfg.write_text(json.dumps({"n": 16, "k": 10, "sample_points": 60,
+                                   "seed": 11}))
+        proc = run_cli(["waveguide", str(cfg), "--out", str(tmp_path / "run")])
+        assert proc.returncode == 1
+        assert "q_i + 8.151e+05 I is not impedance passive on 1.194e+06 to 1.527e+06 rad/s" \
+            in proc.stderr
 
     @pytest.mark.parametrize("command, config, message", [
         ("butterworth", {"foo": 1}, "unknown config key"),

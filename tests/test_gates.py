@@ -1,18 +1,25 @@
-"""Gate-boundary table: every one-off invertibility gate at half and twice
-its limit.
+"""Gate-boundary table: every invertibility gate at half and twice its
+limit.
 
 Each site gets a block whose gate measure is a chosen multiple of the
 site's limit.  At 0.5x the operation must succeed; at 2x it must raise the
 site's exception with a message naming the block, or, for a sweep gate
 that flags points instead of raising, flag the point.  The blocks are diagonal
 (or scalar), so the measure is known in closed form and the factor-2 margin
-dwarfs any roundoff.
+dwarfs any roundoff.  Every gate measures the median row max over the
+probe estimate of sigma_min, so a graded block is diag(1, 1, 1/cond): its
+median row max is exactly 1 (diag(1, 1/cond) would read (1 + 1/cond) / 2,
+which puts its 2x point on the boundary).
 """
+
+import inspect
+
 
 import numpy as np
 import pytest
 
 from passivenet.core import DiscreteSystem, StateSpaceSystem, similarity, transfer_function
+from passivenet import errors
 from passivenet.errors import (
     GateError,
     MinusOneEigenvalue,
@@ -46,15 +53,15 @@ from passivenet.transforms import (
 )
 from passivenet.websterfem import _band_storage, _gated_band_solve
 
-BLOCK_LIMIT = 1e12      # transforms, Cayley steps, feedback loop
-PENCIL_LIMIT = 1e18     # loewner.reduce_order default
+BLOCK_LIMIT = 1e12      # 1 / core.RCOND_FLOOR: transforms, Cayley steps, feedback loop
+PENCIL_LIMIT = 1e18     # loewner.PENCIL_LIMIT
 STIFFNESS_LIMIT = 1e6   # secondorder general path
 RESOLVENT_LIMIT = 1e12  # 1 / core.RCOND_FLOOR: transfer evaluation, banded sweep
 
 
 def _graded(cond: float) -> np.ndarray:
-    """diag(1, 1/cond): 2-norm condition number exactly ``cond``."""
-    return np.diag([1.0, 1.0 / cond])
+    """diag(1, 1, 1/cond): sigma_min 1/cond against a median row max of 1."""
+    return np.diag([1.0, 1.0, 1.0 / cond])
 
 
 def _with_d(D: np.ndarray, split) -> StateSpaceSystem:
@@ -67,17 +74,17 @@ def _blocks(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
 
 
 def fi(cond):
-    full_inversion(_with_d(_graded(cond), (1, 1)))
+    full_inversion(_with_d(_graded(cond), (3, 0)))
 
 
 def ti(cond):
-    D = _blocks(_graded(cond), np.zeros((2, 1)), np.zeros((1, 2)), np.ones((1, 1)))
-    top_inversion(_with_d(D, (2, 1)))
+    D = _blocks(_graded(cond), np.zeros((3, 1)), np.zeros((1, 3)), np.ones((1, 1)))
+    top_inversion(_with_d(D, (3, 1)))
 
 
 def _d22_graded(cond):
-    D = _blocks(np.ones((1, 1)), np.zeros((1, 2)), np.zeros((2, 1)), _graded(cond))
-    return _with_d(D, (1, 2))
+    D = _blocks(np.ones((1, 1)), np.zeros((1, 3)), np.zeros((3, 1)), _graded(cond))
+    return _with_d(D, (1, 3))
 
 
 def bi(cond):
@@ -93,42 +100,44 @@ def inv_hybrid(cond):
 
 
 def chain(cond):
-    Z = np.zeros((2, 2))
-    chain_transform(_with_d(_blocks(Z, Z, _graded(cond), Z), (2, 2)))
+    Z = np.zeros((3, 3))
+    chain_transform(_with_d(_blocks(Z, Z, _graded(cond), Z), (3, 3)))
 
 
 def inv_chain(cond):
-    Z = np.zeros((2, 2))
-    inverse_chain(_with_d(_blocks(np.eye(2), Z, Z, _graded(cond)), (2, 2)))
+    Z = np.zeros((3, 3))
+    inverse_chain(_with_d(_blocks(np.eye(3), Z, Z, _graded(cond)), (3, 3)))
 
 
 def ext_cayley(cond):
-    # D_i + R = diag(1, 1/cond) against R = I
-    R = ResistanceMatrix(np.eye(2), np.zeros((0, 0)))
-    external_cayley(_with_d(_graded(cond) - np.eye(2), (2, 0)), R)
+    # D_i + R = diag(1, 1, 1/cond) against R = I
+    R = ResistanceMatrix(np.eye(3), np.zeros((0, 0)))
+    external_cayley(_with_d(_graded(cond) - np.eye(3), (3, 0)), R)
 
 
 def inv_ext_cayley(cond):
-    # I - D = diag(1, 1/cond)
-    R = ResistanceMatrix(np.eye(2), np.zeros((0, 0)))
-    inverse_external_cayley(_with_d(np.eye(2) - _graded(cond), (2, 0)), R)
+    # I - D = diag(1, 1, 1/cond)
+    R = ResistanceMatrix(np.eye(3), np.zeros((0, 0)))
+    inverse_external_cayley(_with_d(np.eye(3) - _graded(cond), (3, 0)), R)
+
+
+def _three_states(A) -> StateSpaceSystem:
+    return StateSpaceSystem(A, np.ones((3, 1)), np.ones((1, 3)), np.zeros((1, 1)), split=(1, 0))
 
 
 def reciprocal(cond):
-    internal_reciprocal(StateSpaceSystem(-_graded(cond), np.ones((2, 1)), np.ones((1, 2)),
-                                         np.zeros((1, 1)), split=(1, 0)))
+    internal_reciprocal(_three_states(-_graded(cond)))
 
 
 def int_cayley(cond):
-    # sigma I - A = diag(1, 1/cond) at sigma = 1
-    internal_cayley(StateSpaceSystem(np.eye(2) - _graded(cond), np.ones((2, 1)),
-                                     np.ones((1, 2)), np.zeros((1, 1)), split=(1, 0)), 1.0)
+    # sigma I - A = diag(1, 1, 1/cond) at sigma = 1
+    internal_cayley(_three_states(np.eye(3) - _graded(cond)), 1.0)
 
 
 def inv_int_cayley(cond):
-    # I + Ad = diag(1, 1/cond)
-    inverse_internal_cayley(DiscreteSystem(_graded(cond) - np.eye(2), np.ones((2, 1)),
-                                           np.ones((1, 2)), np.zeros((1, 1)), sigma=1.0,
+    # I + Ad = diag(1, 1, 1/cond)
+    inverse_internal_cayley(DiscreteSystem(_graded(cond) - np.eye(3), np.ones((3, 1)),
+                                           np.ones((1, 3)), np.zeros((1, 1)), sigma=1.0,
                                            split=(1, 0)))
 
 
@@ -141,14 +150,14 @@ def loop(cond):
 
 
 def pencil(cond):
-    L = np.diag([1.0, 1.0 / cond])
-    interp = DescriptorInterpolant(L, -np.eye(2), np.ones(2), np.ones(2), is_real=True)
-    reduce_order(interp, 2)
+    # the projection onto all three singular directions leaves Lk = L
+    interp = DescriptorInterpolant(_graded(cond), -np.eye(3), np.ones(3), np.ones(3),
+                                   is_real=True)
+    reduce_order(interp, 3)
 
 
 def similarity_t(cond):
-    similarity(StateSpaceSystem(-np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
-                                np.zeros((1, 1)), split=(1, 0)), _graded(cond))
+    similarity(_three_states(-np.eye(3)), _graded(cond))
 
 
 def resolvent(cond):
@@ -167,9 +176,8 @@ def stiff_resolvent(cond):
 
 
 def stiffness(cond):
-    # the gate measures K^1/2, whose condition is the square root of K's
-    K = np.diag([1.0, 1.0 / cond**2])
-    so = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), K, np.ones((2, 1)))
+    # the gate measures K^1/2 = diag(1, 1, 1/cond)
+    so = SecondOrderSystem(np.eye(3), np.zeros((3, 3)), _graded(cond) ** 2, np.ones((3, 1)))
     first_order_realization(so, method="general")
 
 
@@ -235,3 +243,11 @@ def test_flagging_twice_limit_flags(site, limit):
 @pytest.mark.parametrize("exc", sorted({s[2] for s in SITES}, key=lambda e: e.__name__))
 def test_every_gate_exception_is_a_gate_error(exc):
     assert issubclass(exc, GateError)
+
+
+def test_every_gate_error_has_a_row():
+    # a flagging site raises nothing, so each GateError needs a raising row
+    gate_errors = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                   if issubclass(cls, GateError) and cls is not GateError}
+    missing = gate_errors - {s[2] for s in SITES}
+    assert gate_errors and not missing, sorted(cls.__name__ for cls in missing)

@@ -283,4 +283,5 @@ class TestDefaultScheme:
         sv = np.linalg.svd(interp.L_mat, compute_uv=False)
         assert sv[-1] > 0.0
         # the leading block the reduction actually uses is comfortably regular
-        reduce_order(interp, 10, condition_limit=1e12)
+        assert sv[0] / sv[9] < 1e12
+        assert reduce_order(interp, 10).reduced.n == 10

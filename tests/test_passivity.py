@@ -13,6 +13,7 @@ from conftest import (
 )
 
 from passivenet.core import DiscreteSystem, StateSpaceSystem
+from passivenet.errors import NotSPD
 from passivenet.passivity import (
     CONSERVATIVE,
     NOT_PASSIVE,
@@ -20,6 +21,7 @@ from passivenet.passivity import (
     discrete_impedance_certificate,
     discrete_scattering_certificate,
     impedance_certificate,
+    impedance_violation_bands,
     properly_impedance_passive,
     scattering_conservative_check,
     scattering_passive_via_cayley,
@@ -213,6 +215,68 @@ class TestProperlyPassive:
         sys = regularize(pi_circuit_system(2.2e-9, 3.4e-9, 14e-6), 1e-3)
         ok, margin = properly_impedance_passive(sys)
         assert ok and margin == pytest.approx(2e-3)
+
+
+def _lag(d, r, a) -> StateSpaceSystem:
+    """G(s) = d - r a / (s + a): Re G(iw) = d - r a^2 / (w^2 + a^2)."""
+    return StateSpaceSystem(np.array([[-a]]), np.ones((1, 1)), np.array([[-r * a]]),
+                            np.array([[d]]), split=(1, 0))
+
+
+def _resonance(d, r, w0, zeta) -> StateSpaceSystem:
+    """G(s) = d - r 2 zeta w0 s / (s^2 + 2 zeta w0 s + w0^2), whose real part
+    on the axis dips to d - r at w0."""
+    A = np.array([[0.0, w0], [-w0, -2.0 * zeta * w0]])
+    C = -r * np.array([[0.0, 2.0 * zeta * w0]])
+    return StateSpaceSystem(A, np.array([[0.0], [1.0]]), C, np.array([[d]]), split=(1, 0))
+
+
+class TestViolationBands:
+    """The Hamiltonian premise check against closed forms and passive
+    operands."""
+
+    @pytest.mark.parametrize("d, r, a", [(1.0, 3.0, 2.0), (0.25, 1.0, 5e5), (2.0, 2.5, 1e-3)])
+    def test_lag_band_edge(self, d, r, a):
+        # Re G(iw) < 0 exactly for w < a sqrt(r/d - 1)
+        (lo, hi), = impedance_violation_bands(_lag(d, r, a))
+        assert lo == 0.0 and hi == pytest.approx(a * np.sqrt(r / d - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("d, r, a", [(1.0, 0.5, 2.0), (3.0, 2.999, 7e4)])
+    def test_lag_without_band(self, d, r, a):
+        assert impedance_violation_bands(_lag(d, r, a)) == []
+
+    @pytest.mark.parametrize("w0, zeta", [(1.0, 0.1), (1.9e6, 0.02)])
+    def test_resonant_band_away_from_zero(self, w0, zeta):
+        # |w0^2 - w^2| < k w, k = 2 zeta w0 sqrt(r/d - 1), bounds the band
+        d, r = 1.0, 4.0
+        k = 2.0 * zeta * w0 * np.sqrt(r / d - 1.0)
+        root = np.sqrt(k * k + 4.0 * w0 * w0)
+        (lo, hi), = impedance_violation_bands(_resonance(d, r, w0, zeta))
+        assert lo == pytest.approx(0.5 * (root - k), rel=1e-9)
+        assert hi == pytest.approx(0.5 * (root + k), rel=1e-9)
+
+    def test_needs_positive_definite_feedthrough(self):
+        with pytest.raises(NotSPD, match="D \\+ D\\^T"):
+            impedance_violation_bands(_lag(0.0, 1.0, 1.0))
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8), m1=st.integers(1, 2),
+           m2=st.integers(0, 2), strict=st.booleans(),
+           kind=st.sampled_from(["proper", "shifted", "lossless"]),
+           log_eps=st.floats(-4.0, 1.0))
+    def test_passive_operand_has_no_band(self, seed, n, m1, m2, strict, kind, log_eps):
+        # proper (D + D^T >= I), or shifted from a skew D by eps as the star
+        # product's regularisation does; a lossless operand has its poles on
+        # the axis, where G + G^H = D + D^T cancels to roundoff
+        rng = np.random.default_rng(seed)
+        if kind == "lossless":
+            sys = random_conservative(rng, n, m1, m2, skew_d=strict)
+        else:
+            sys = random_impedance_passive(rng, n, m1, m2, strict=strict,
+                                           proper=kind == "proper")
+        if kind != "proper":
+            sys = regularize(sys, 10.0 ** log_eps)
+        assert impedance_violation_bands(sys) == []
 
 
 class TestTransformPreservation:

@@ -3,6 +3,7 @@ waveguide, checked against closed forms and ABCD-chain oracles."""
 
 import dataclasses
 import functools
+import re
 
 import mpmath
 import numpy as np
@@ -24,7 +25,7 @@ from oracles import (
 
 from passivenet import simulate
 from passivenet.core import io_equivalent, minimality, transfer_function
-from passivenet.errors import DimensionMismatch, NearSpectrum, NotWellPosed
+from passivenet.errors import DimensionMismatch, NearSpectrum, NotProperlyPassive, NotWellPosed
 from passivenet.feedback import star_of_impedance_pair
 from passivenet.loewner import PistonParams
 from passivenet.passivity import (
@@ -488,6 +489,43 @@ def _butterworth_outputs(cfg) -> list:
     sp = butterworth_sparams(cfg, np.geomspace(1e4, 1e7, 30))
     return [getattr(getattr(model, form), name) for form in ("regularized", "impedance", "minimal")
             for name in "ABCD"] + [sp.s11, sp.s21]
+
+
+def _left_half_plane(sys) -> bool:
+    """perfbench's stability check: max Re lambda <= 1e-9 max(1, max |lambda|)."""
+    lam = np.linalg.eigvals(sys.A)
+    return lam.real.max() <= 1e-9 * max(1.0, np.abs(lam).max())
+
+
+SMOKE = dict(area=uniform_tube(), n=24, k=12, sample_points=80)
+
+
+class TestComposePremise:
+    """The shift makes a passive load properly passive; it cannot mend one
+    that is not passive, and the Cayley gate must not mistake stiffness for
+    nearness to the spectrum."""
+
+    @pytest.mark.parametrize("k", [14, 16])
+    def test_stiff_stable_composite_composes(self, k):
+        # sigma I - A has cond_2 of 5.9e12 (k = 14) and 2.0e13 (k = 16) from
+        # stiff entries, while sigma is 88 200 from every eigenvalue
+        comp = waveguide_compose(WaveguideConfig(**dict(SMOKE, k=k)))
+        assert comp.composite_impedance.n == 4 * 24 + k
+        assert _left_half_plane(comp.composite_impedance)
+
+    def test_full_size_stable_composite_composes(self):
+        comp = waveguide_compose(WaveguideConfig(area=uniform_tube(), square=4.5e5))
+        assert _left_half_plane(comp.composite_impedance)
+
+    @pytest.mark.parametrize("changes, band", [
+        (dict(SMOKE, square=3.5e5), "1.534e+06 to 2.528e+06"),
+        (dict(SMOKE, c=257.25), "1.092e+06 to 2.051e+06"),
+        (dict(area=uniform_tube(), square=6e5), "2.232e+06 to 4.219e+06"),
+    ], ids=["smoke-square", "smoke-c", "full-square"])
+    def test_load_that_is_not_passive_is_named(self, changes, band):
+        # each composite would have an eigenvalue at Re +4e5 to +1e6 /s
+        with pytest.raises(NotProperlyPassive, match=rf"^q_i \+ .* on {re.escape(band)} rad/s"):
+            waveguide_compose(WaveguideConfig(**changes))
 
 
 class TestNoDeadSetting:
