@@ -70,8 +70,9 @@ class ResistanceMismatch(PassiveNetError):
 
 
 class NotProperlyPassive(PassiveNetError):
-    """A star product's operands cannot be made properly passive: neither
-    is, unregularised, or a shifted one violates passivity on some band."""
+    """Neither star-product operand is properly impedance passive after its
+    shift, or one with D + D^T > 0 has a violating band, an unstable A or
+    a pole on the imaginary axis whose residue is not positive semidefinite."""
 
 
 class NotSPD(DimensionMismatch):

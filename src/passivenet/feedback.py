@@ -26,7 +26,7 @@ import numpy as np
 from .core import StateSpaceSystem, _gate_sigma, _require_positive
 from .errors import (DimensionMismatch, NotProperlyPassive, NotSPD, NotWellPosed,
                      ResistanceMismatch)
-from .passivity import impedance_violation_bands, properly_impedance_passive
+from .passivity import _impedance_premise
 from .transforms import (
     ResistanceMatrix,
     chain_transform,
@@ -120,36 +120,33 @@ def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
     """Couple two impedance systems through their external Cayley transforms.
 
     The coupled channel must use one resistance block (Rp.R2 == Rq.R1
-    entrywise).  When neither operand is shifted (both eps 0), one of them
-    must be properly impedance passive.  Every operand whose D + D^T is
-    positive definite after its shift must also be passive at every
-    frequency (``passivity.impedance_violation_bands``): the shift makes a
-    passive operand properly passive, so that the coupled loop is well-posed
-    and the composite passive, hence stable, but it cannot mend an operand
-    that is not passive.  Either failure raises NotProperlyPassive, the
-    second naming the operand and its bands.  With ``impedance=True`` the
-    result is transformed back to impedance form against diag(Rp.R1, Rq.R2).
+    entrywise).  At least one operand, after its shift, must be properly
+    impedance passive (``passivity.properly_impedance_passive``), and so
+    must each with D + D^T positive definite: the shift makes a passive
+    operand properly passive, so that the coupled loop is well-posed and the
+    composite passive, hence stable, but it cannot mend one that is not.
+    Either failure raises NotProperlyPassive, the second naming the operand
+    and its bands, unstable eigenvalue or axis pole.  With ``impedance=True``
+    the result is transformed back to impedance form against
+    diag(Rp.R1, Rq.R2).
     """
     if Rp.R2.shape != Rq.R1.shape or not np.array_equal(Rp.R2, Rq.R1):
         raise ResistanceMismatch(
             "coupled-channel resistance blocks differ (Rp.R2 != Rq.R1)")
     p_sh = regularize(p_i, epsilon_p)
     q_sh = regularize(q_i, epsilon_q)
-    if epsilon_p == 0.0 and epsilon_q == 0.0 and not (
-            properly_impedance_passive(p_sh)[0] or properly_impedance_passive(q_sh)[0]):
-        raise NotProperlyPassive(
-            "neither operand is properly impedance passive and no "
-            "regularisation was requested")
+    proper = False
     for name, sys, eps in (("p_i", p_sh, epsilon_p), ("q_i", q_sh, epsilon_q)):
         try:
-            bands = impedance_violation_bands(sys)
-        except NotSPD:  # D + D^T is not positive definite: nothing to check
+            failure = _impedance_premise(sys)
+        except NotSPD:  # D + D^T is not positive definite: not proper
             continue
-        if bands:
+        if failure:
             raise NotProperlyPassive(
-                f"{name} + {eps:.4g} I is not impedance passive on "
-                + ", ".join(f"{lo:.4g} to {hi:.4g}" for lo, hi in bands)
-                + " rad/s, so the coupled system may be unstable")
+                f"{name} + {eps:.4g} I {failure}, so the coupled system may be unstable")
+        proper = True
+    if not proper:
+        raise NotProperlyPassive("neither operand is properly impedance passive")
     prod = star_product(external_cayley(p_sh, Rp), external_cayley(q_sh, Rq))
     if impedance:
         R = ResistanceMatrix(Rp.R1, Rq.R2)

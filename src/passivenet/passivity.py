@@ -10,10 +10,11 @@ Every verdict carries a signed margin (the matrix's largest eigenvalue,
 positive means violation) so callers such as the regularisation and
 star-product code can reason about how close to the boundary a system sits.
 
-``impedance_violation_bands`` answers a different question, for systems
-with D + D^T > 0: on which frequency bands passivity fails, from the
-imaginary-axis eigenvalues of a Hamiltonian matrix, which do not depend on
-the state coordinates.
+These certificates use the storage P = I.  Proper impedance passivity,
+every coupling's premise, uses none, so no state coordinates: D + D^T > 0,
+no band of ``impedance_violation_bands`` (from a Hamiltonian's eigenvalues),
+a stable A, and a positive semidefinite residue at each pole on the
+imaginary axis.
 
 Tolerance policy: a test matrix counts as vanishing when its 2-norm is below
 ``CONSERVATIVE_RTOL`` times (1 + the largest entry of A, B, C, D); a margin
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteSystem, StateSpaceSystem, _gate_sigma, _symmetric_eig
+from .core import DiscreteSystem, StateSpaceSystem, _ResolventPlan, _symmetric_eig
+from .errors import NotSPD
 from . import transforms
 
 CONSERVATIVE_RTOL = 1e-10
@@ -42,6 +44,16 @@ AXIS_RTOL = 1e-6
 #: eps_machine / 2 already lets the poles of lossless operands read as
 #: violations.
 EVAL_RTOL = 1e-14
+
+#: A is stable when no eigenvalue has Re > STABLE_RTOL max|A_ij|: roundoff
+#: moves the eigenvalues of a lossless A about eps |A| off the axis, and
+#: those within the bound of it are its poles on the axis.  No absolute
+#: floor, so that the verdict does not depend on the time unit.
+STABLE_RTOL = 1e-9
+
+#: A pole of A on the imaginary axis is probed this fraction of the way to
+#: the nearest other pole, where its residue dominates G.
+RESIDUE_STEP = 1e-6
 
 CONSERVATIVE = "Conservative"
 STRICTLY_PASSIVE = "StrictlyPassive"
@@ -158,16 +170,15 @@ def scattering_passive_via_cayley(sys: StateSpaceSystem,
 
 
 def properly_impedance_passive(sys: StateSpaceSystem) -> tuple[bool, float]:
-    """Impedance passive with invertible D^T + D; returns (flag, margin).
-
-    The margin is the smallest eigenvalue of D^T + D.  A zero feedthrough
-    (margin 0) is never proper, which is exactly why conservative circuit
-    models need the epsilon shift before Redheffer coupling.
-    """
+    """Impedance passive with D^T + D > 0, decided without a storage; returns
+    (flag, margin), the margin the smallest eigenvalue of D^T + D.  A zero
+    feedthrough is never proper, which is exactly why conservative circuit
+    models need the epsilon shift before Redheffer coupling."""
     margin = float(np.linalg.eigvalsh(sys.D.T + sys.D).min())
-    if margin <= CONSERVATIVE_RTOL * float(np.linalg.norm(sys.D, 2)):
+    try:
+        return not _impedance_premise(sys), margin
+    except NotSPD:
         return False, margin
-    return impedance_certificate(sys).passive, margin
 
 
 def impedance_violation_bands(sys: StateSpaceSystem) -> list[tuple[float, float]]:
@@ -182,36 +193,71 @@ def impedance_violation_bands(sys: StateSpaceSystem) -> list[tuple[float, float]
     Kabamba, MCSS 2, 1989).  Past the last one the Popov function keeps
     the sign of R > 0, its value at infinity.  Each interval between
     neighbouring candidates is confirmed by the Popov function at its
-    midpoint, and confirmed neighbours merge into one band.  G(iw) is
-    solved in real form behind ``core._gate_sigma``; a midpoint confirms
-    nothing where the gate rejects it, or where the negative eigenvalue is
-    within the evaluation error EVAL_RTOL (row scale / sigma_min) |G|:
-    next to a pole of a lossless operand, where G + G^H = R exactly, that
-    error swamps the sum.
+    midpoint, and confirmed neighbours merge into one band.  All midpoints
+    go through one ``core._ResolventPlan``; a midpoint confirms nothing
+    where its gate rejects it, or where the negative eigenvalue is within
+    the evaluation error EVAL_RTOL (row scale / sigma_min) |G|: next to a
+    pole of a lossless operand, where G + G^H = R exactly, that error
+    swamps the sum.
     """
     _, w, V = _symmetric_eig("D + D^T", sys.D + sys.D.T, definite=True)
+    return _popov_violations(sys, w, V, np.zeros(0))[0]
+
+
+def _popov_violations(sys: StateSpaceSystem, w: np.ndarray, V: np.ndarray,
+                      probes: np.ndarray) -> tuple[list[tuple[float, float]], np.ndarray]:
+    """The bands of ``impedance_violation_bands``, given D + D^T = V diag(w) V^T,
+    and whether G(s) + G(s)^H has a negative eigenvalue at each of the
+    points ``probes``, all on one plan."""
     Rinv = (V / w) @ V.T
     F = sys.A - sys.B @ Rinv @ sys.C
     lam = np.linalg.eigvals(np.block([[F, -sys.B @ Rinv @ sys.B.T],
                                       [sys.C.T @ Rinv @ sys.C, -F.T]]))
     axis = lam[np.abs(lam.real) <= AXIS_RTOL * np.abs(lam)]
     edges = np.unique(np.concatenate([[0.0], np.abs(axis.imag)]))
-    n, bands = sys.n, []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # i mid I - A in real form, acting on (Re x, Im x)
-        mid, eye = 0.5 * (lo + hi), np.eye(n)
-        E = np.block([[-sys.A, -mid * eye], [mid * eye, -sys.A]])
-        sigma, scale, ok = _gate_sigma(E)
-        if not ok:
-            continue
-        X = np.linalg.solve(E, np.vstack([sys.B, np.zeros_like(sys.B)]))
-        G = sys.D + sys.C @ (X[:n] + 1j * X[n:])
-        popov = np.linalg.eigvalsh(G + G.conj().T)
-        error = EVAL_RTOL * scale / sigma * np.abs(G).max()
-        if popov[0] >= -max(CONSERVATIVE_RTOL * np.abs(popov).max(), error):
-            continue
-        if bands and bands[-1][1] == lo:
-            bands[-1] = (bands[-1][0], float(hi))
-        else:
-            bands.append((float(lo), float(hi)))
-    return bands
+    points = np.concatenate([0.5j * (edges[:-1] + edges[1:]), probes])
+    negative = np.zeros(points.size, dtype=bool)
+    if points.size:  # only then a plan: a first Schur form pages in ~1 MB of LAPACK code
+        G, ok, sigma, scale = _ResolventPlan(sys.A, sys.B, sys.C, sys.D).evaluate(points)
+        popov = np.linalg.eigvalsh(G[ok] + G[ok].conj().transpose(0, 2, 1))
+        error = EVAL_RTOL * scale[ok] / sigma[ok] * np.abs(G[ok]).max(axis=(1, 2))
+        negative[ok] = popov[:, 0] < -np.maximum(
+            CONSERVATIVE_RTOL * np.abs(popov).max(axis=1), error)
+    bad = np.zeros(edges.size + 1, dtype=int)  # padded, so every run of bad intervals ends
+    bad[1:-1] = negative[:edges.size - 1]
+    run = np.diff(bad)  # a band runs over the intervals from a +1 to the next -1
+    bands = [(float(edges[a]), float(edges[b]))
+             for a, b in zip(np.flatnonzero(run == 1), np.flatnonzero(run == -1))]
+    return bands, negative[edges.size - 1:]
+
+
+def _impedance_premise(sys: StateSpaceSystem) -> str:
+    """Why ``sys`` is not properly impedance passive, or ""; NotSPD where
+    D + D^T is not definite.  Past the bands, two faults that the Popov
+    function on the axis does not see: an eigenvalue of A with
+    Re > STABLE_RTOL max|A_ij| (1 + 1/(s - 1) has no band), and a pole on
+    the axis whose residue K is not positive semidefinite (1 - 1/s has no
+    band either).  K adds about (K + K^H) / delta to G + G^H at delta right
+    of its pole, delta RESIDUE_STEP times the distance to the nearest pole
+    outside its own cluster (AXIS_RTOL max|A_ij| wide)."""
+    _, w, V = _symmetric_eig("D + D^T", sys.D + sys.D.T, definite=True)
+    size = np.abs(sys.A).max(initial=0.0)
+    lam = np.linalg.eigvals(sys.A)
+    poles = 1j * lam[(np.abs(lam.real) <= STABLE_RTOL * size) & (lam.imag >= 0)].imag
+    dist = np.abs(poles[:, None] - lam)
+    dist[dist <= AXIS_RTOL * size] = np.inf  # the pole's own cluster
+    gap = dist.min(axis=1, initial=np.inf)
+    lone = np.isinf(gap)
+    if lone.any():  # a lone cluster sits at 0, as A is real: G = D + CB/s if semisimple
+        gap[lone] = np.abs(sys.C @ sys.B).max() / w.max()
+    poles, gap = poles[gap > 0], gap[gap > 0]
+    bands, negative = _popov_violations(sys, w, V, poles + RESIDUE_STEP * gap)
+    if bands:
+        return ("is not impedance passive on "
+                + ", ".join(f"{lo:.4g} to {hi:.4g}" for lo, hi in bands) + " rad/s")
+    if lam.size and lam.real.max() > STABLE_RTOL * size:
+        return f"is not impedance passive: A has the eigenvalue {max(lam, key=np.real):.4g}"
+    if negative.any():
+        return (f"is not impedance passive: its residue at the pole {poles[negative][0].imag:.4g}j"
+                " is not positive semidefinite")
+    return ""

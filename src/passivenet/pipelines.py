@@ -283,6 +283,15 @@ class WaveguideConfig:
         if not whole(self.sample_points, 1):
             raise DimensionMismatch(f"sample_points must be a positive integer, "
                                     f"got {self.sample_points!r}")
+        # what assemble, default_scheme and reduce_order would reject later
+        if self.n < 2:
+            raise DimensionMismatch(f"n must be at least 2, got {self.n}")
+        if self.sample_points % 2 or self.sample_points < 4:
+            raise DimensionMismatch(f"sample_points must be even and at least 4, "
+                                    f"got {self.sample_points}")
+        if self.k > self.sample_points:
+            raise DimensionMismatch(f"k must be at most sample_points = {self.sample_points}, "
+                                    f"got {self.k}")
         if not whole(self.seed, 0):
             raise DimensionMismatch(f"seed must be a nonnegative integer, got {self.seed!r}")
         _require_positive(DimensionMismatch, ("epsilon_factor",), c=self.c, rho=self.rho,

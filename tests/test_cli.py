@@ -323,6 +323,9 @@ class TestPipelinesCli:
         ("waveguide", {"square": float("inf")}, "'square' must be a number"),
         ("waveguide", {"area": {"nodes": [0, float("nan"), 0.17], "areas": [1e-4] * 3}},
          "area nodes must be finite"),
+        ("waveguide", {"n": 1}, "n must be at least 2"),
+        ("waveguide", {"sample_points": 3}, "sample_points must be even and at least 4"),
+        ("waveguide", {"sample_points": 10, "k": 12}, "k must be at most sample_points"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, command, config, message):
         cfg = tmp_path / "cfg.json"

@@ -315,6 +315,31 @@ class TestStarOfImpedancePair:
         cert = discrete_scattering_certificate(internal_cayley(out, 3.0))
         assert cert.passive
 
+    @pytest.mark.parametrize("epsilon_q", [0.0, 0.1])
+    def test_unstable_operand_is_named(self, epsilon_q):
+        # q = 1 + 1/(s - 1) has no violating band; coupled anyway, it gives a
+        # composite with an eigenvalue at Re +0.59, not impedance passive
+        p = random_conservative(np.random.default_rng(3), 3, 1, 1, skew_d=False)
+        one = np.ones((1, 1))
+        q = StateSpaceSystem(one, one, one, one, split=(1, 0))
+        R = ResistanceMatrix(np.eye(1), np.eye(1))
+        R1 = ResistanceMatrix(np.eye(1), np.zeros((0, 0)))
+        with pytest.raises(NotProperlyPassive, match=r"^q_i \+ .* the eigenvalue 1, "):
+            star_of_impedance_pair(p, q, R, R1, 0.0, epsilon_q, impedance=True)
+
+    def test_negative_residue_on_the_axis_is_named(self):
+        # q = 1 - 1/s has no band and no unstable eigenvalue; against the
+        # shunt capacitor Z = (0.5/s) [[1, 1], [1, 1]] (D = 0, so q must be
+        # the proper operand) the composite would have a pole at s = +0.5
+        h = np.sqrt(0.5) * np.ones((1, 2))
+        p = StateSpaceSystem(np.zeros((1, 1)), h, h.T.copy(), np.zeros((2, 2)), split=(1, 1))
+        one = np.ones((1, 1))
+        q = StateSpaceSystem(np.zeros((1, 1)), one, -one, one, split=(1, 0))
+        R = ResistanceMatrix(np.eye(1), np.eye(1))
+        R1 = ResistanceMatrix(np.eye(1), np.zeros((0, 0)))
+        with pytest.raises(NotProperlyPassive, match=r"^q_i \+ .* residue at the pole 0j "):
+            star_of_impedance_pair(p, q, R, R1, impedance=True)
+
     def test_impedance_recovery(self, rng):
         p = random_impedance_passive(rng, 3, 1, 1, proper=True)
         q = random_impedance_passive(rng, 2, 1, 1, proper=True)

@@ -18,7 +18,8 @@ import inspect
 import numpy as np
 import pytest
 
-from passivenet.core import DiscreteSystem, StateSpaceSystem, similarity, transfer_function
+from passivenet.core import (DiscreteSystem, StateSpaceSystem, _gate_probes, _gate_sigma,
+                             _near_spectrum_gate, similarity, transfer_function)
 from passivenet import errors
 from passivenet.errors import (
     GateError,
@@ -238,6 +239,32 @@ def test_flagging_half_limit_passes(site, limit):
 @pytest.mark.parametrize("site, limit", FLAGGING_SITES, ids=[s[0].__name__ for s in FLAGGING_SITES])
 def test_flagging_twice_limit_flags(site, limit):
     assert not site(2.0 * limit)
+
+
+def _hidden_from_probes(delta):
+    """I - (1 - delta) v v^T, n = 8, sigma_min = delta along a v almost
+    orthogonal to the four real probe columns: v = w + 1e-12 (first column),
+    normalised, with w a unit vector orthogonal to all four."""
+    probes = _gate_probes(8)
+    cols = np.hstack([probes.real, probes.imag])
+    Q, _ = np.linalg.qr(cols)
+    w = np.random.default_rng(0).standard_normal(8)
+    w -= Q @ (Q.T @ w)
+    v = w / np.linalg.norm(w) + 1e-12 * cols[:, 0]
+    v /= np.linalg.norm(v)
+    return np.eye(8) - (1.0 - delta) * np.outer(v, v), cols
+
+
+@pytest.mark.parametrize("delta, passes", [(5e-13, False), (2e-12, True)])
+def test_inverse_power_step_finds_what_the_probes_miss(delta, passes):
+    # the probes' own solutions barely see v (sigma ~ 0.56 and 0.94, both
+    # passing); the step's second solve amplifies their 1e-12 share by 1 / delta
+    M, cols = _hidden_from_probes(delta)
+    first = np.linalg.norm(np.linalg.solve(M, cols).reshape(-1, 2, 2), axis=(0, 1))
+    assert _near_spectrum_gate(first, np.abs(M).max(axis=1))[2]
+    sigma, scale, ok = _gate_sigma(M)
+    assert ok == passes
+    assert 0.5 * delta <= sigma <= 4.0 * delta
 
 
 @pytest.mark.parametrize("exc", sorted({s[2] for s in SITES}, key=lambda e: e.__name__))

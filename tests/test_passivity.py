@@ -12,7 +12,7 @@ from conftest import (
     random_resistance,
 )
 
-from passivenet.core import DiscreteSystem, StateSpaceSystem
+from passivenet.core import DiscreteSystem, StateSpaceSystem, parallel_sum, similarity
 from passivenet.errors import NotSPD
 from passivenet.passivity import (
     CONSERVATIVE,
@@ -255,6 +255,17 @@ class TestViolationBands:
         assert lo == pytest.approx(0.5 * (root - k), rel=1e-9)
         assert hi == pytest.approx(0.5 * (root + k), rel=1e-9)
 
+    def test_two_bands_against_a_dense_grid(self):
+        # two dips a hundredfold apart: Re G(iw) < 0 on the 20 001-point
+        # grid exactly inside the two reported bands
+        sys = parallel_sum(_resonance(0.5, 2.0, 1.0, 0.1), _resonance(0.5, 2.0, 100.0, 0.1))
+        bands = impedance_violation_bands(sys)
+        assert len(bands) == 2
+        w = np.geomspace(1e-2, 1e4, 20001)
+        G = [sys.D + sys.C @ np.linalg.solve(1j * x * np.eye(sys.n) - sys.A, sys.B) for x in w]
+        inside = np.any([(w > lo) & (w < hi) for lo, hi in bands], axis=0)
+        np.testing.assert_array_equal(np.real(G)[:, 0, 0] < 0, inside)
+
     def test_needs_positive_definite_feedthrough(self):
         with pytest.raises(NotSPD, match="D \\+ D\\^T"):
             impedance_violation_bands(_lag(0.0, 1.0, 1.0))
@@ -277,6 +288,56 @@ class TestViolationBands:
         if kind != "proper":
             sys = regularize(sys, 10.0 ** log_eps)
         assert impedance_violation_bands(sys) == []
+
+
+class TestProperPremise:
+    """Proper impedance passivity is decided without a storage: D + D^T > 0,
+    no violating band and a stable A, none of which a change of state
+    coordinates moves."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 2),
+           kind=st.sampled_from(["proper", "skew", "lossless"]),
+           log_eps=st.floats(-4.0, 1.0), decades=st.sampled_from([2.0, 3.0, 4.0]))
+    def test_verdict_independent_of_coordinates(self, seed, n, m, kind, log_eps, decades):
+        # T = diag(10^U(-d/2, d/2)) Q spreads the state over d decades, where
+        # the P = I dissipation test reads almost every operand not proper
+        rng = np.random.default_rng(seed)
+        if kind == "lossless":
+            sys = random_conservative(rng, n, m, 0)
+        else:
+            sys = random_impedance_passive(rng, n, m, 0, proper=kind == "proper")
+        if kind != "proper":
+            sys = regularize(sys, 10.0 ** log_eps)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        T = 10.0 ** rng.uniform(-decades / 2, decades / 2, n)[:, None] * Q
+        flag, margin = properly_impedance_passive(sys)
+        assert flag
+        assert properly_impedance_passive(similarity(sys, T)) == (flag, margin)
+
+    @pytest.mark.parametrize("a", [1.0, 1e-10])
+    def test_unstable_operand_without_band(self, a):
+        # G(s) = 1 + a/(s - a): the Popov function 2 - 2a^2/(w^2 + a^2) is
+        # never negative, so only the pole at s = a shows that G is not
+        # passive, in whatever time unit a is given
+        one, pole = np.ones((1, 1)), np.full((1, 1), a)
+        sys = StateSpaceSystem(pole, pole, one, one, split=(1, 0))
+        assert impedance_violation_bands(sys) == []
+        assert properly_impedance_passive(sys) == (False, 2.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    @pytest.mark.parametrize("A, B", [
+        (np.zeros((1, 1)), np.ones((1, 1))),
+        (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1.0]])),
+        (np.zeros((2, 2)), np.ones((2, 1))),
+    ], ids=["1/s", "s/(s^2+1)", "two-poles-at-0"])
+    def test_residue_of_a_pole_on_the_axis(self, A, B, sign):
+        # G(s) = 1 + sign C (sI - A)^-1 B with C = B^T: G(iw) + G(iw)^H = 2
+        # off the poles either way, so no band; only the sign of the residue
+        # tells passive from not
+        sys = StateSpaceSystem(A, B, sign * B.T, np.ones((1, 1)), split=(1, 0))
+        assert impedance_violation_bands(sys) == []
+        assert properly_impedance_passive(sys) == (sign > 0, 2.0)
 
 
 class TestTransformPreservation:

@@ -26,11 +26,13 @@ from oracles import (
 from passivenet import simulate
 from passivenet.core import io_equivalent, minimality, transfer_function
 from passivenet.errors import DimensionMismatch, NearSpectrum, NotProperlyPassive, NotWellPosed
-from passivenet.feedback import star_of_impedance_pair
+from passivenet.feedback import regularize, star_of_impedance_pair
 from passivenet.loewner import PistonParams
 from passivenet.passivity import (
     CONSERVATIVE,
     impedance_certificate,
+    impedance_violation_bands,
+    properly_impedance_passive,
     scattering_conservative_check,
 )
 from passivenet.pipelines import (
@@ -100,13 +102,22 @@ class TestConfigValues:
         ("sample_points", 0, "sample_points must be a positive integer"),
         ("seed", True, "seed must be a nonnegative integer"),
         ("seed", 1.5, "seed must be a nonnegative integer"),
-        ("seed", -1, "seed must be a nonnegative integer")])
+        ("seed", -1, "seed must be a nonnegative integer"),
+        # rejected here, not by compose after the tube is assembled
+        ("n", 1, "n must be at least 2, got 1"),
+        ("sample_points", 3, "sample_points must be even and at least 4, got 3"),
+        ("sample_points", 2, "sample_points must be even and at least 4, got 2"),
+        ("k", 151, "k must be at most sample_points = 150, got 151")])
     def test_waveguide_integers(self, name, value, message):
         with pytest.raises(DimensionMismatch, match=f"^{message}"):
             WaveguideConfig(**{name: value})
 
     def test_seed_zero_is_allowed(self):
         assert WaveguideConfig(seed=0).seed == 0
+
+    def test_smallest_sizes_are_allowed(self):
+        cfg = WaveguideConfig(n=2, sample_points=4, k=4)
+        assert (cfg.n, cfg.sample_points, cfg.k) == (2, 4, 4)
 
 
 class TestPiCircuit:
@@ -526,6 +537,33 @@ class TestComposePremise:
         # each composite would have an eigenvalue at Re +4e5 to +1e6 /s
         with pytest.raises(NotProperlyPassive, match=rf"^q_i \+ .* on {re.escape(band)} rad/s"):
             waveguide_compose(WaveguideConfig(**changes))
+
+
+# the seeds perfbench's waveguide workloads draw from (workloads.SEED_POOL)
+DEFAULT_LOADS = [(tube, seed) for tube in (uniform_tube, two_segment_tube)
+                 for seed in (2024, 1, 7, 12345, 42)]
+
+
+class TestDefaultLoadPremise:
+    """The default loads, shifted as compose shifts them, are properly
+    impedance passive, though the P = I dissipation test reads all ten
+    NotPassive: a Loewner realisation is passive in other state coordinates."""
+
+    @pytest.mark.parametrize("tube, seed", DEFAULT_LOADS,
+                             ids=[f"{t.__name__}-{s}" for t, s in DEFAULT_LOADS])
+    def test_shifted_load_is_properly_passive(self, tube, seed):
+        comp = waveguide_compose(WaveguideConfig(area=tube(), seed=seed))
+        shifted = regularize(comp.load, comp.epsilon)
+        assert impedance_violation_bands(shifted) == []
+        assert properly_impedance_passive(shifted) == (True, 2.0 * comp.epsilon)
+        # so the same coupling with the shift done by the caller (both
+        # shifts 0) passes the same premise and gives the same composite
+        R = _CHANNEL_RESISTANCE
+        got = star_of_impedance_pair(comp.tube.system, shifted, ResistanceMatrix.scalars(R, R),
+                                     ResistanceMatrix.scalars(R), impedance=True)
+        for name in ("A", "B", "C", "D", "split"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(comp.composite_impedance, name))
 
 
 class TestNoDeadSetting:
