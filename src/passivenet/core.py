@@ -257,13 +257,16 @@ def _gated_solve(M: np.ndarray, Y: np.ndarray, exc_type, message: str,
     return np.linalg.solve(M, Y)
 
 
-#: Points per round of a resolvent plan: no point's solve depends on its
-#: chunk-mates, so it bounds the working set and the width of every product.
-#: Of 32 to 512, 128 was about the fastest on the 412-state composite and the
-#: 6-state Butterworth product (2-vCPU host, OpenBLAS).  256 is faster in a
-#: warm loop, but its wider products of the 6-state sweep go to OpenBLAS's
-#: thread pool, and a fresh benchmark process then ran the sweep slower.
-_PLAN_CHUNK = 128
+#: Columns per chunk of a resolvent plan, which takes
+#: max(1, _PLAN_WIDTH // (m + 2)) points at a time, each with its m inputs
+#: and the gate's two probes.  No point's solve depends on its chunk-mates;
+#: the width bounds the working set, and it decides whether OpenBLAS hands a
+#: product to its thread pool.  512 (128 points of a 2-input sweep) was
+#: about the fastest of 32 to 512 points on the 412-state composite and the
+#: 6-state Butterworth product (2-vCPU host, OpenBLAS); twice as wide is
+#: faster in a warm loop, but its 6-state products go to the thread pool,
+#: and a fresh benchmark process then ran the sweep slower.
+_PLAN_WIDTH = 512
 
 #: A point is left to the Schur solve only when the refined solution's
 #: componentwise backward error
@@ -274,7 +277,9 @@ _BERR_LIMIT = 1e-13
 
 
 class _ResolventPlan:
-    """D + C (sI - A)^-1 B at many points from one factorisation of A.
+    """D + C (sI - A)^-1 B at many points from one factorisation of A, for
+    any B (n x m), C (p x n) and D (p x m): a caller that reads some columns
+    of the transfer passes only those columns of B and D.
 
     A is balanced, A = Tm Ab Tm^-1 with Tm a scaled permutation, and Ab is
     reduced once to complex Schur form Z T Z^H, so that
@@ -295,7 +300,9 @@ class _ResolventPlan:
     sI - A, with the same probes and refinement; see _BERR_LIMIT.
 
     Each point is gated by _near_spectrum_gate on sI - A, with the probes
-    solved beside B.
+    solved beside B.  The gate, the refinement and the fallback are per
+    point, so the columns of B change only the values and how many points
+    share a chunk of _PLAN_WIDTH columns.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray):
@@ -321,8 +328,9 @@ class _ResolventPlan:
         np.fill_diagonal(self._offdiag, 0.0)
         self._offdiag_rowmax = self._offdiag.max(axis=1)
         self._probes = _gate_probes(n)
+        self._chunk_points = max(1, _PLAN_WIDTH // (B.shape[1] + 2))
         # every full chunk starts from the same right-hand sides
-        self._full_round1 = self._round1(_PLAN_CHUNK)
+        self._full_round1 = self._round1(self._chunk_points)
 
     def _round1(self, k: int) -> np.ndarray:
         """The first round's right-hand sides for k points: B tiled k times,
@@ -392,7 +400,7 @@ class _ResolventPlan:
                  + np.abs(shifts - self._diag[:, None]) * absX)
         # NaN compares False, so a non-finite solution never converges
         converged = np.abs(self._residual(shifts, rhs, X)) <= _BERR_LIMIT * bound
-        values = self.D + (self.C @ X).reshape(m, k, m).transpose(1, 0, 2)
+        values = self.D + (self.C @ X).reshape(self.C.shape[0], k, m).transpose(1, 0, 2)
         return (values, np.maximum(norm1, norm2).reshape(k, 2),
                 converged.all(axis=0).reshape(k, m).all(axis=1))
 
@@ -400,16 +408,16 @@ class _ResolventPlan:
         """(values, ok, sigma_min estimate, row scale) at each point; values
         are NaN where ``ok`` is False.  RCOND_FLOOR is read at call time."""
         s = np.asarray(points, dtype=complex).reshape(-1)
-        n, m = self.A.shape[0], self.D.shape[0]
-        values = np.full((s.size, m, m), np.nan, dtype=complex)
+        n = self.A.shape[0]
+        values = np.full((s.size, *self.D.shape), np.nan, dtype=complex)
         norms = np.full((s.size, 2), np.nan)  # a point left unsolved reads sigma 0
         sigma, scale, ok = np.zeros(s.size), np.zeros(s.size), np.ones(s.size, dtype=bool)
         if n == 0:
             values[:] = self.D
             return values, ok, np.full(s.size, np.inf), scale
         with np.errstate(all="ignore"):
-            for lo in range(0, s.size, _PLAN_CHUNK):
-                part = np.arange(lo, min(lo + _PLAN_CHUNK, s.size))
+            for lo in range(0, s.size, self._chunk_points):
+                part = np.arange(lo, min(lo + self._chunk_points, s.size))
                 # |sI - A| row maxima
                 rows = np.maximum(self._offdiag_rowmax[:, None],
                                   np.abs(s[part] - self._diag[:, None]))

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
-from .core import DiscreteSystem, StateSpaceSystem, _require_positive
+from .core import DiscreteSystem, StateSpaceSystem, _ResolventPlan, _require_positive
 from .errors import DimensionMismatch, NearSpectrum
 from .feedback import star_of_impedance_pair, star_product
 from .loewner import InterpolationScheme, PistonParams
@@ -227,13 +227,22 @@ class SParams:
 def butterworth_sparams(cfg: ButterworthConfig, grid_hz) -> SParams:
     """Reflection s11 and transmission s21 of the coupled ladder at R0 ports.
 
-    Raises NearSpectrum if any grid point is gated.
+    Both answer a wave incident at port 1, so the resolvent plan of
+    ``_rotated_product(cfg, cfg.epsilon)`` solves only the first column of
+    B, and s12 and s22 are never formed.  Raises DimensionMismatch naming
+    the first non-finite grid frequency, and NearSpectrum if any grid point
+    is gated.
     """
-    resp = simulate.frequency_response(_rotated_product(cfg, cfg.epsilon), grid_hz)
-    if not resp.ok.all():
-        bad = resp.frequencies[~resp.ok]
+    freqs = np.asarray(grid_hz, dtype=float).reshape(-1)
+    if not np.isfinite(freqs).all():
+        raise DimensionMismatch(f"grid frequency {freqs[~np.isfinite(freqs)][0]} Hz is not finite")
+    sys = _rotated_product(cfg, cfg.epsilon)
+    values, ok, _, _ = _ResolventPlan(sys.A, sys.B[:, :1], sys.C, sys.D[:, :1]).evaluate(
+        2j * np.pi * freqs)
+    if not ok.all():
+        bad = freqs[~ok]
         raise NearSpectrum(f"{bad.size} grid point(s) on the spectrum, first at {bad[0]} Hz")
-    return SParams(resp.frequencies, resp.values[:, 0, 0], resp.values[:, 1, 0])
+    return SParams(freqs, values[:, 0, 0], values[:, 1, 0])
 
 
 # ---------------------------------------------------------------------------

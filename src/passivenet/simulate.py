@@ -426,7 +426,11 @@ def frequency_response(sys, frequencies_hz) -> FrequencyResponse:
     evaluates its input impedance from its components.
     """
     freqs = np.asarray(frequencies_hz, dtype=float).reshape(-1)
-    values, ok = sys.transfer_values(2j * np.pi * freqs)
+    # 2 pi i f without a complex multiply, whose 0 * inf would warn: a
+    # non-finite f gives a non-finite point, which the gates flag
+    points = np.zeros(freqs.size, dtype=complex)
+    points.imag = 2.0 * np.pi * freqs
+    values, ok = sys.transfer_values(points)
     return FrequencyResponse(freqs, values, ok)
 
 

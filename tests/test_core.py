@@ -178,11 +178,12 @@ class TestResolventPlan:
         assert peak < 8 * resp.values.nbytes
 
     def test_chunking_invariance(self, monkeypatch):
-        # the chunk size bounds the working set and nothing else: only the
+        # the chunk width bounds the working set and nothing else: only the
         # blocking of the products moves, which moved the values by at most
         # 1.3e-11 of a point's largest entry (the 108-state composite solved
         # one point at a time), 0 on the Butterworth product, and 4e-25 on
-        # the impedance, whose stiff points go to the equilibrated LU
+        # the impedance, whose stiff points go to the equilibrated LU; the
+        # width is set so that a chunk holds 1, 7 or 128 points
         dense_points = []
         dense_solver = core._ResolventPlan._dense_solver
         monkeypatch.setattr(core._ResolventPlan, "_dense_solver",
@@ -195,8 +196,8 @@ class TestResolventPlan:
                  (butterworth_compose(cfg).impedance, np.geomspace(1e4, 1e7, 400))]
         for sys, freqs in cases:
             runs = []
-            for chunk in (1, 7, 128):
-                monkeypatch.setattr(core, "_PLAN_CHUNK", chunk)
+            for points in (1, 7, 128):
+                monkeypatch.setattr(core, "_PLAN_WIDTH", points * (sys.B.shape[1] + 2))
                 runs.append(frequency_response(sys, freqs))
             want = runs[-1]
             for got in runs[:-1]:
@@ -204,6 +205,55 @@ class TestResolventPlan:
                 gap = np.abs(got.values - want.values).max(axis=(1, 2))
                 assert np.all(gap <= 1e-10 * np.abs(want.values).max(axis=(1, 2)))
         assert dense_points  # the impedance's stiff points took the fallback
+
+    @staticmethod
+    def _assert_plan_reads_columns(A, B, C, D, points, I, J):
+        """The plan of (A, B[:, J], C[I], D[I, J]) against the square plan's
+        values[:, I][:, :, J].  A column's rounding in a product can depend
+        on its offset, and the rectangular plan puts the inputs and the
+        probes at other offsets (and, for a long sweep, other points in a
+        chunk), so values and sigma agree to roundoff (sigma read at most
+        5.6e-16 apart on 400 random draws, bit-identical at most points);
+        ok and the row scale do not depend on B."""
+        values, ok, sigma, scale = core._ResolventPlan(A, B, C, D).evaluate(points)
+        got = core._ResolventPlan(A, B[:, J], C[I], D[np.ix_(I, J)]).evaluate(points)
+        want = values[:, I][:, :, J]
+        assert got[0].shape == want.shape
+        assert np.array_equal(got[1], ok) and np.array_equal(got[3], scale)
+        assert np.allclose(got[2], sigma, rtol=4e-15, atol=0.0)
+        gap = np.abs(got[0] - want).max(axis=(1, 2), initial=0.0)
+        assert np.all(gap[ok] <= 1e-14 * np.abs(values[ok]).max(axis=(1, 2)))
+        assert np.isnan(got[0][~ok]).all()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8), m=st.integers(1, 3),
+           points=st.sampled_from([30, 300]))
+    def test_column_subsets_match_the_square_plan(self, seed, n, m, points):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        # stable with abscissa -0.5: the imaginary axis stays clear of the spectrum
+        A -= (np.linalg.eigvals(A).real.max(initial=0.0) + 0.5) * np.eye(n)
+        B, C = rng.standard_normal((n, m)), rng.standard_normal((m, n))
+        D = rng.standard_normal((m, m))
+        I = rng.permutation(m)[:rng.integers(1, m + 1)]
+        J = rng.permutation(m)[:rng.integers(1, m + 1)]
+        s = np.concatenate([2j * np.pi * np.geomspace(1e-3, 1e2, points), five_points(rng)])
+        self._assert_plan_reads_columns(A, B, C, D, s, I, J)
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-12])
+    def test_column_subsets_of_the_stiff_product(self, monkeypatch, epsilon):
+        # the fast mode at -1/(C2 eps); at 1e-12 every point of the sweep
+        # takes the equilibrated-LU fallback, in both plans alike
+        dense_points = []
+        dense_solver = core._ResolventPlan._dense_solver
+        monkeypatch.setattr(core._ResolventPlan, "_dense_solver",
+                            lambda plan, s: dense_points.append(s) or dense_solver(plan, s))
+        sys = _rotated_product(ButterworthConfig(), epsilon)
+        s = 2j * np.pi * np.geomspace(1e4, 1e7, 400)
+        for I, J in (([0, 1], [0]), ([1], [1]), ([1, 0], [1, 0])):
+            dense_points.clear()
+            self._assert_plan_reads_columns(sys.A, sys.B, sys.C, sys.D, s, I, J)
+            assert len(dense_points) == (2 * s.size if epsilon == 1e-12 else 0)
 
 
 class TestDiscreteTransfer:

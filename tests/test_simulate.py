@@ -450,6 +450,17 @@ class TestFrequencyResponseFlags:
         assert not resp.ok[1]
         assert np.isnan(resp.values[1]).all()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_frequency_flagged_silently(self, bad):
+        # 2j * pi * inf makes 0 * inf in the real part; the point must be
+        # flagged without a RuntimeWarning, which the suite makes an error
+        sys = StateSpaceSystem(np.array([[-1.0, 2.0], [-2.0, -1.0]]), np.ones((2, 1)),
+                               np.ones((1, 2)), np.zeros((1, 1)), split=(1, 0))
+        resp = frequency_response(sys, [bad, 1e5])
+        assert resp.ok.tolist() == [False, True]
+        assert np.isnan(resp.values[0]).all()
+        assert np.array_equal(resp.values[1], frequency_response(sys, [1e5]).values[0])
+
     @pytest.mark.parametrize("on_spectrum_hz, input_scale",
                              [(100.0, [1.0, 1.0]), (0.0, [1.0, 1.0]), (0.0, [1e300, 1e-14])],
                              ids=["oscillator", "zero", "zero-graded-input"])
