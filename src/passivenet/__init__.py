@@ -46,7 +46,6 @@ from .transforms import (  # noqa: F401
 from .feedback import (  # noqa: F401
     WellPosednessReport,
     regularize,
-    regularized_external_cayley,
     star_of_impedance_pair,
     star_product,
     star_via_chain,

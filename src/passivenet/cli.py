@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, feedback, pipelines, simulate, transforms, websterfem
-from .core import system_from_json, system_to_json, DiscreteSystem
+from .core import system_from_json, system_to_json, DiscreteSystem, _is_finite_real
 from .errors import DimensionMismatch, GateError, ParseError, PassiveNetError
 from .passivity import (
     discrete_impedance_certificate,
@@ -116,8 +115,8 @@ _TRANSFORMS = {
     "if": lambda s, a: transforms.input_flip(s),
     "cayley": lambda s, a: transforms.internal_cayley(s, a.sigma),
     "icayley": lambda s, a: transforms.inverse_internal_cayley(s),
-    "extcayley": lambda s, a: feedback.regularized_external_cayley(s, _resistance(a, s.split),
-                                                                   a.epsilon),
+    "extcayley": lambda s, a: transforms.external_cayley(feedback.regularize(s, a.epsilon),
+                                                         _resistance(a, s.split)),
     "iextcayley": lambda s, a: transforms.inverse_external_cayley(s, _resistance(a, s.split)),
     "recip": lambda s, a: transforms.internal_reciprocal(s),
     "hybrid": lambda s, a: transforms.hybrid_transform(s),
@@ -145,44 +144,30 @@ def cmd_star(args) -> int:
     return 0
 
 
-def _is_number(value) -> bool:
-    # json.loads also reads NaN and Infinity, which no config field can take
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
+def _numbers(value, message: str) -> list:
+    """``value``, if it is a list of finite numbers (no bools, no NaN or
+    Infinity, which json.loads also reads, and nothing beyond double range);
+    else ParseError(message, then the value)."""
+    if not (isinstance(value, list) and all(map(_is_finite_real, value))):
+        raise ParseError(f"{message}, got {json.dumps(value)}")
+    return value
 
 
-# value kind -> (test, name in the error message); a float field takes ints
-# too, and null means "not given" for the optional string and list keys
-_VALUE_KINDS = {
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
-    str: (lambda v: v is None or isinstance(v, str), "a string or null"),
-    list: (lambda v: v is None or (isinstance(v, list) and all(map(_is_number, v))),
-           "a list of numbers or null"),
-}
-
-
-def _run_pipeline(args, config_type, extra_keys: dict[str, type], compute) -> int:
+def _run_pipeline(args, config_type, extra_keys: set[str], compute) -> int:
     """Parse ``args.config`` (a JSON object over the fields of ``config_type``
-    and ``extra_keys``, each {name: value kind}; empty means {}), run
+    and the ``extra_keys`` that ``compute`` reads itself; empty means {}), run
     ``compute(config) -> (seed or None, {file name: text})`` and write the files,
-    then manifest.json, to ``args.out``.  A numeric field must hold a value
-    of its default's type; fields without a scalar default (the waveguide's
-    inline ``area``) are checked by ``compute``."""
+    then manifest.json, to ``args.out``.  Only unknown keys are rejected here:
+    the config class rejects a field value of the wrong type or out of range,
+    naming the key, and ``compute`` checks its extra keys and the waveguide's
+    inline ``area``."""
     text = _read_text(args.config)
     config = json.loads(text) if text.strip() else {}
     if not isinstance(config, dict):
         raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
-    kinds = {f.name: type(f.default) for f in fields(config_type)}
-    unknown = set(config) - set(kinds) - set(extra_keys)
+    unknown = set(config) - {f.name for f in fields(config_type)} - extra_keys
     if unknown:
         raise ParseError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    kinds.update(extra_keys)
-    for key, value in config.items():
-        test, name = _VALUE_KINDS.get(kinds[key], (None, None))
-        if test is not None and not test(value):
-            raise ParseError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
     t0 = time.monotonic()
     seed, files = compute(config)
     outdir = Path(args.out)
@@ -199,10 +184,10 @@ def _run_pipeline(args, config_type, extra_keys: dict[str, type], compute) -> in
 def cmd_butterworth(args) -> int:
     def compute(config):
         grid = config.pop("grid_hz", None)
+        freqs = (np.geomspace(1e4, 1e7, 400) if grid is None
+                 else _numbers(grid, "config key 'grid_hz' must be a list of numbers or null"))
         cfg = pipelines.ButterworthConfig(**config)
         model = pipelines.butterworth_compose(cfg)
-        freqs = (np.asarray(grid, dtype=float) if grid is not None
-                 else np.geomspace(1e4, 1e7, 400))
         sp = pipelines.butterworth_sparams(cfg, freqs)
         return None, {
             "sparams.csv": simulate._csv_text(
@@ -211,18 +196,23 @@ def cmd_butterworth(args) -> int:
             **{f"{name}.json": _json_text(system_to_json(getattr(model, name)))
                for name in ("regularized", "impedance", "minimal")}}
 
-    return _run_pipeline(args, pipelines.ButterworthConfig, {"grid_hz": list}, compute)
+    return _run_pipeline(args, pipelines.ButterworthConfig, {"grid_hz"}, compute)
 
 
 def cmd_waveguide(args) -> int:
     def compute(config):
         area_csv, spec = config.pop("area_csv", None), config.pop("area", None)
         if area_csv is not None:
+            if not isinstance(area_csv, str):
+                raise ParseError(f"config key 'area_csv' must be a string or null, "
+                                 f"got {json.dumps(area_csv)}")
             area = websterfem.load_area_csv(area_csv)
         elif spec is not None:
             if not isinstance(spec, dict) or not {"nodes", "areas"} <= spec.keys():
                 raise ParseError("inline area needs an object with 'nodes' and 'areas'")
-            area = websterfem.AreaFunction(np.asarray(spec["nodes"]), np.asarray(spec["areas"]))
+            area = websterfem.AreaFunction(
+                *(_numbers(spec[key], f"area {key} must be finite numbers in a list")
+                  for key in ("nodes", "areas")))
         else:
             area = pipelines.uniform_tube()
         cfg = pipelines.WaveguideConfig(area=area, **config)
@@ -239,7 +229,7 @@ def cmd_waveguide(args) -> int:
             "composite.json": _json_text(system_to_json(comp.composite_impedance)),
             "scheme.json": _json_text(comp.scheme.to_json())}
 
-    return _run_pipeline(args, pipelines.WaveguideConfig, {"area_csv": str}, compute)
+    return _run_pipeline(args, pipelines.WaveguideConfig, {"area_csv"}, compute)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,6 +12,7 @@ never by an explicit inverse.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -48,14 +49,26 @@ def _as_matrix(name: str, value, shape=None) -> np.ndarray:
     return arr
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a real number (a bool is not one) that converts to
+    a finite double: json.loads also reads NaN, Infinity and integers beyond
+    double range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_positive(exc_type, nonnegative=(), **values) -> None:
     """Raise exc_type naming the first of ``values`` that is not a real number
     (a bool is not one), or not positive and finite (nonnegative and finite,
-    for the names in ``nonnegative``)."""
+    for the names in ``nonnegative``); finite means a finite double."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise exc_type(f"{name} must be a real number, got {value!r}")
-        if not (0 < value < np.inf or (name in nonnegative and value == 0)):
+        if not (_is_finite_real(value) and (value > 0 or name in nonnegative and value == 0)):
             kind = "nonnegative" if name in nonnegative else "positive"
             raise exc_type(f"{name} must be {kind} and finite, got {value}")
 
@@ -599,8 +612,8 @@ def system_to_json(sys: StateSpaceSystem | DiscreteSystem) -> dict:
 def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
     """Parse a system from the JSON exchange format, naming bad fields.
 
-    n, m1 and m2 are integers >= 0; each matrix is a list of rows of numbers
-    in its documented shape, or [] where that shape has size 0.
+    n, m1 and m2 are integers >= 0; each matrix is a list of rows of finite
+    numbers in its documented shape, or [] where that shape has size 0.
     """
     if not isinstance(obj, dict):
         raise DimensionMismatch("system JSON must be an object")
@@ -611,21 +624,20 @@ def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
             raise DimensionMismatch(f"field '{key}' must be an integer >= 0, got {obj[key]!r}")
     n, m1, m2 = obj["n"], obj["m1"], obj["m2"]
     m = m1 + m2
-    number = (int, float)  # what JSON numbers parse to; type() keeps bool out
     mats = []
     for key, (rows, cols) in zip(_SYSTEM_FIELDS, ((n, n), (n, m), (m, n), (m, m))):
         value = obj[key]
         shaped = isinstance(value, list) and (
             value == [] and rows * cols == 0
             or len(value) == rows and all(isinstance(row, list) and len(row) == cols
-                                          and all(type(x) in number for x in row)
+                                          and all(map(_is_finite_real, row))
                                           for row in value))
         if not shaped:
-            raise DimensionMismatch(f"field '{key}' must be {rows} rows of {cols} numbers")
+            raise DimensionMismatch(f"field '{key}' must be {rows} rows of {cols} finite numbers")
         mats.append(np.array(value, dtype=float).reshape(rows, cols))
     sigma = obj.get("sigma")
     if sigma is None:
         return StateSpaceSystem(*mats, split=(m1, m2))
-    if type(sigma) not in number:
-        raise DimensionMismatch(f"field 'sigma' must be a number, got {sigma!r}")
+    if not _is_finite_real(sigma):
+        raise DimensionMismatch(f"field 'sigma' must be a finite number, got {sigma!r}")
     return DiscreteSystem(*mats, sigma=float(sigma), split=(m1, m2))

@@ -107,12 +107,6 @@ def regularize(sys_i: StateSpaceSystem, epsilon: float) -> StateSpaceSystem:
     return sys_i.replace(D=sys_i.D + epsilon * np.eye(sys_i.m))
 
 
-def regularized_external_cayley(sys_i: StateSpaceSystem, R: ResistanceMatrix,
-                                epsilon: float) -> StateSpaceSystem:
-    """External Cayley transform of the eps-shifted impedance system."""
-    return external_cayley(regularize(sys_i, epsilon), R)
-
-
 def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
                            Rp: ResistanceMatrix, Rq: ResistanceMatrix,
                            epsilon_p: float = 0.0, epsilon_q: float = 0.0,

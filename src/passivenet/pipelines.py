@@ -49,7 +49,8 @@ from typing import Optional
 import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
-from .core import DiscreteSystem, StateSpaceSystem, _ResolventPlan, _require_positive
+from .core import (DiscreteSystem, StateSpaceSystem, _ResolventPlan, _is_finite_real,
+                   _require_positive)
 from .errors import DimensionMismatch, NearSpectrum
 from .feedback import star_of_impedance_pair, star_product
 from .loewner import InterpolationScheme, PistonParams
@@ -94,26 +95,6 @@ def pi_circuit_system(c1: float, c2: float, l1: float) -> StateSpaceSystem:
     A = np.array([[0.0, w1, 0.0], [-w1, 0.0, w2], [0.0, -w2, 0.0]])
     B = np.array([[1.0 / math.sqrt(c1), 0.0], [0.0, 0.0], [0.0, 1.0 / math.sqrt(c2)]])
     return StateSpaceSystem(A, B, B.T.copy(), np.zeros((2, 2)), split=(1, 1))
-
-
-def pi_scattering_system(c1: float, c2: float, l1: float, r1: float, r2: float,
-                         epsilon: float = 0.0) -> StateSpaceSystem:
-    """Regularised scattering form of the pi circuit at resistances (r1, r2).
-
-    Exactly the external Cayley transform of the impedance form with the
-    shifted feedthrough eps*I, hence B = sqrt(2 r / C) / (r + eps) columns;
-    at eps = 0 this reduces to sqrt(2 / (r C)).
-    """
-    w1 = 1.0 / math.sqrt(l1 * c1)
-    w2 = 1.0 / math.sqrt(l1 * c2)
-    g1 = 1.0 / (c1 * (r1 + epsilon))
-    g2 = 1.0 / (c2 * (r2 + epsilon))
-    A = np.array([[-g1, w1, 0.0], [-w1, 0.0, w2], [0.0, -w2, -g2]])
-    B = np.array([[math.sqrt(2.0 * r1 / c1) / (r1 + epsilon), 0.0],
-                  [0.0, 0.0],
-                  [0.0, math.sqrt(2.0 * r2 / c2) / (r2 + epsilon)]])
-    D = np.diag([1.0 - 2.0 * r1 / (r1 + epsilon), 1.0 - 2.0 * r2 / (r2 + epsilon)])
-    return StateSpaceSystem(A, B, B.T.copy(), D, split=(1, 1))
 
 
 def _rotated_product(cfg: ButterworthConfig, epsilon: float) -> StateSpaceSystem:
@@ -209,14 +190,6 @@ def butterworth_compose(cfg: ButterworthConfig) -> ButterworthModel:
                             minimal_butterworth(cfg))
 
 
-def ladder_impedance_closed_form(cfg: ButterworthConfig, s: complex) -> np.ndarray:
-    """Closed-form 2x2 impedance of the lossless C1-L-C3-L-C1 ladder."""
-    c1, c3, l1 = cfg.c1, cfg.c3, cfg.l1
-    num = l1**2 * c1 * c3 * s**4 + l1 * (2 * c1 + c3) * s**2 + 1.0
-    den = s * (l1 * c1 * s**2 + 1.0) * (l1 * c1 * c3 * s**2 + 2 * c1 + c3)
-    return np.array([[num, 1.0], [1.0, num]]) / den
-
-
 @dataclass(frozen=True)
 class SParams:
     frequencies: np.ndarray
@@ -284,9 +257,8 @@ class WaveguideConfig:
     square: float = 3e5               # half-width of the sampling square, rad/s
 
     def __post_init__(self):
-        def whole(value, low):  # an integer (not a bool) of at least low
-            return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and value >= low)
+        def whole(value, low):  # an integer (not a bool) of at least low, in double range
+            return isinstance(value, numbers.Integral) and _is_finite_real(value) and value >= low
         if not (whole(self.n, 1) and whole(self.k, 1)):
             raise DimensionMismatch(f"n and k must be positive integers, got {self.n}, {self.k}")
         if not whole(self.sample_points, 1):

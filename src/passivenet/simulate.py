@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DiscreteSystem, StateSpaceSystem, _as_matrix, _require_positive
+from .core import (DiscreteSystem, StateSpaceSystem, _as_matrix, _is_finite_real,
+                   _require_positive)
 from .errors import DimensionMismatch, NonPositive
 
 
@@ -173,8 +174,10 @@ class ExcitationSpec:
         if self.n_samples < 1:
             raise DimensionMismatch(f"duration={self.duration} s at sample_rate="
                                     f"{self.sample_rate} Hz gives no samples")
-        if not all(0.0 < v < 1.0 for v in self.lf_shape):
-            raise DimensionMismatch("LF shape parameters must lie in (0, 1)")
+        shape = self.lf_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 3
+                and all(_is_finite_real(v) and 0.0 < v < 1.0 for v in shape)):
+            raise DimensionMismatch(f"lf_shape must be three numbers in (0, 1), got {shape!r}")
         if self.f1 is not None and not (math.isfinite(self.f1) and self.f1 > self.f0):
             raise DimensionMismatch(f"sweep end f1={self.f1} must be finite and exceed "
                                     f"f0={self.f0}")
@@ -215,58 +218,29 @@ class _LFWaveform:
         return U
 
 
-def _brentq(f, xa: float, xb: float) -> Optional[float]:
-    """A root of f between xa and xb by Brent's method, or None.
+def _bisect(f, lo: float, hi: float) -> Optional[float]:
+    """A root of f between lo < hi by bisection, or None.
 
-    A port of scipy.optimize.brentq at its defaults, xtol = 2e-12,
-    rtol = 4 eps and 100 iterations (scipy's brentq.c: the same operations
-    in the same order, so the same root bit for bit).  None means f(xa) and
-    f(xb) share a sign, f gave NaN, or 100 iterations did not converge.
-    Importing scipy.optimize for it would load scipy's sparse, spatial,
+    Halves the bracket until it is narrower than scipy.optimize.brentq's
+    default tolerance, 2e-12 + 4 eps |x|, so the midpoint it returns lies
+    within that tolerance of brentq's root.  None means f(lo) and f(hi) share
+    a sign, or f gave NaN.  Speed does not matter for two root finds
+    per LF excitation, and scipy.optimize would load scipy's sparse, spatial,
     special and fft packages too: about 20 MB and 0.14 s.
     """
-    xtol, rtol = 2e-12, 4 * np.finfo(float).eps
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if math.isnan(fpre) or math.isnan(fcur):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0 or fhi == 0:
+        return lo if flo == 0 else hi
+    if math.isnan(flo) or math.isnan(fhi) or (flo < 0) == (fhi < 0):
         return None
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        return None
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry       # good short step
-            else:
-                spre = scur = sbis            # bisect
-        else:
-            spre = scur = sbis                # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            return None
-    return None
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if hi - lo < 2e-12 + 4 * np.finfo(float).eps * abs(mid):
+            return mid
+        fmid = f(mid)
+        if fmid == 0 or math.isnan(fmid):
+            return mid if fmid == 0 else None
+        lo, hi = (mid, hi) if (fmid < 0) == (flo < 0) else (lo, mid)
 
 
 # net_flow evaluates exp(a Te), which overflows once a Te passes this
@@ -274,6 +248,10 @@ _LF_EXPONENT_CAP = math.log(np.finfo(float).max)
 
 
 def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
+    """The LF pulse at rate f0 and ``shape``: ``_bisect`` finds the
+    return-phase decay rate eps, then the growth rate alpha that closes the
+    pulse (zero net flow).  DimensionMismatch names the shape where either
+    has no root in its bracket."""
     oq, am, qa = shape
     T0 = 1.0 / f0
     Te = oq * T0
@@ -283,7 +261,7 @@ def _solve_lf(f0: float, shape: tuple[float, float, float]) -> _LFWaveform:
     Td = T0 - Te
 
     def root(f, lo, hi, what):
-        x = _brentq(f, lo, hi)
+        x = _bisect(f, lo, hi)
         if x is None:
             raise DimensionMismatch(f"lf_shape={shape} at f0={f0} Hz: no {what} "
                                     f"in [{lo:.6g}, {hi:.6g}]")

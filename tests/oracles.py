@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: transfer
 functions by explicit dense inversion, special functions by adaptive
 quadrature of their integral representations, ladder impedances by ABCD
-two-port chains, star products by solving the coupled feedthrough
+two-port chains, the ladder's impedance and the pi section's regularised
+scattering form in closed form, star products by solving the coupled feedthrough
 equations (and their realisations by the component formulas), cascades by
 the block triangle, second-order transfers by the quadratic pencil, the
 terminated waveguide by a dense (or mpmath) solve of its pencil, time stepping one
@@ -13,6 +14,8 @@ at a time, the tube's top frequency by mpmath Sturm-count bisection.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 import numpy as np
@@ -102,6 +105,39 @@ def abcd_to_s21(T: np.ndarray, r0: float) -> complex:
 def abcd_to_s11(T: np.ndarray, r0: float) -> complex:
     A, B, C, D = T.ravel()
     return (A + B / r0 - C * r0 - D) / (A + B / r0 + C * r0 + D)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the Butterworth pi section and ladder
+
+
+def ladder_impedance_closed_form(cfg, s: complex) -> np.ndarray:
+    """Closed-form 2x2 impedance of the lossless C1-L-C3-L-C1 ladder of the
+    ``ButterworthConfig`` cfg."""
+    c1, c3, l1 = cfg.c1, cfg.c3, cfg.l1
+    num = l1**2 * c1 * c3 * s**4 + l1 * (2 * c1 + c3) * s**2 + 1.0
+    den = s * (l1 * c1 * s**2 + 1.0) * (l1 * c1 * c3 * s**2 + 2 * c1 + c3)
+    return np.array([[num, 1.0], [1.0, num]]) / den
+
+
+def pi_scattering_system(c1: float, c2: float, l1: float, r1: float, r2: float,
+                         epsilon: float = 0.0) -> StateSpaceSystem:
+    """Regularised scattering form of the pi circuit at resistances (r1, r2).
+
+    Exactly the external Cayley transform of the impedance form with the
+    shifted feedthrough eps*I, hence B = sqrt(2 r / C) / (r + eps) columns;
+    at eps = 0 this reduces to sqrt(2 / (r C)).
+    """
+    w1 = 1.0 / math.sqrt(l1 * c1)
+    w2 = 1.0 / math.sqrt(l1 * c2)
+    g1 = 1.0 / (c1 * (r1 + epsilon))
+    g2 = 1.0 / (c2 * (r2 + epsilon))
+    A = np.array([[-g1, w1, 0.0], [-w1, 0.0, w2], [0.0, -w2, -g2]])
+    B = np.array([[math.sqrt(2.0 * r1 / c1) / (r1 + epsilon), 0.0],
+                  [0.0, 0.0],
+                  [0.0, math.sqrt(2.0 * r2 / c2) / (r2 + epsilon)]])
+    D = np.diag([1.0 - 2.0 * r1 / (r1 + epsilon), 1.0 - 2.0 * r2 / (r2 + epsilon)])
+    return StateSpaceSystem(A, B, B.T.copy(), D, split=(1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from conftest import (
     random_resistance,
     random_system,
 )
-from oracles import bessel_j1_quadrature, struve_h1_quadrature
+from oracles import bessel_j1_quadrature, ladder_impedance_closed_form, struve_h1_quadrature
 
 from passivenet import feedback, loewner, pipelines, simulate, transforms, websterfem
 from passivenet.core import StateSpaceSystem, io_equivalent, minimality, transfer_function
@@ -37,7 +37,6 @@ from passivenet.pipelines import (
     WaveguideConfig,
     butterworth_compose,
     butterworth_sparams,
-    ladder_impedance_closed_form,
     two_segment_tube,
     uniform_tube,
     waveguide_compose,

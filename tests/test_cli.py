@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import pi_scattering_system
+
 import passivenet
 from passivenet.core import system_from_json, system_to_json, transfer_function
 from passivenet.cli import _TRANSFORMS, main
-from passivenet.pipelines import pi_circuit_system, pi_scattering_system
+from passivenet.pipelines import pi_circuit_system
 from passivenet.transforms import internal_cayley
 
 # the child interpreter imports the same passivenet as this one, also when
@@ -126,6 +128,21 @@ def _pole_at(tmp_path, sigma):
     sys_obj = StateSpaceSystem(np.array([[sigma]]), np.ones((1, 1)), np.ones((1, 1)),
                                np.zeros((1, 1)), split=(1, 0))
     return write_system(tmp_path / "pole.json", sys_obj)
+
+
+class TestSystemFileValues:
+    @pytest.mark.parametrize("command", [["check"], ["transform", "--op", "fi"], ["star"]],
+                             ids=["check", "transform", "star"])
+    def test_entry_beyond_double_range_exit_one(self, pi_json, tmp_path, command):
+        obj = json.loads(Path(pi_json).read_text())
+        obj["A"][0][1] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        files = [str(path), pi_json] if command == ["star"] else [str(path)]
+        proc = run_cli([command[0], *files, *command[1:]])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: field 'A' must be")
+        assert "Traceback" not in proc.stderr
 
 
 class TestGateExitCodes:
@@ -308,24 +325,34 @@ class TestPipelinesCli:
         ("waveguide", {"area": {"nodes": [0, 0.17]}}, "'nodes' and 'areas'"),
         ("waveguide", {"area": [0, 0.17]}, "'nodes' and 'areas'"),
         ("butterworth", [1e-9], "JSON object"),
-        ("waveguide", {"n": "abc"}, "'n' must be an integer"),
-        ("waveguide", {"n": 24.0}, "'n' must be an integer"),
-        ("waveguide", {"sigma": None}, "'sigma' must be a number"),
+        ("waveguide", {"n": "abc"}, "n and k must be positive integers"),
+        ("waveguide", {"n": 24.0}, "n and k must be positive integers"),
+        ("waveguide", {"sigma": None}, "sigma must be a real number"),
         ("waveguide", {"area_csv": 3}, "'area_csv' must be a string"),
-        ("butterworth", {"c1": "2.2e-9"}, "'c1' must be a number"),
-        ("butterworth", {"epsilon": True}, "'epsilon' must be a number"),
+        ("butterworth", {"c1": "2.2e-9"}, "c1 must be a real number"),
+        ("butterworth", {"epsilon": True}, "epsilon must be a real number"),
         ("butterworth", {"seed": 1}, "unknown config key"),
         ("butterworth", {"grid_hz": [1e5, "1e6"]}, "'grid_hz' must be a list of numbers"),
         # json.loads reads NaN and Infinity; the pipelines must not
         ("butterworth", {"grid_hz": [1e5, float("nan"), 2e5]}, "'grid_hz' must be a list of"),
-        ("butterworth", {"c1": float("-inf")}, "'c1' must be a number"),
-        ("waveguide", {"c": float("nan")}, "'c' must be a number"),
-        ("waveguide", {"square": float("inf")}, "'square' must be a number"),
+        ("butterworth", {"c1": float("-inf")}, "c1 must be positive and finite"),
+        ("waveguide", {"c": float("nan")}, "c must be positive and finite"),
+        ("waveguide", {"square": float("inf")}, "square must be positive and finite"),
         ("waveguide", {"area": {"nodes": [0, float("nan"), 0.17], "areas": [1e-4] * 3}},
          "area nodes must be finite"),
         ("waveguide", {"n": 1}, "n must be at least 2"),
         ("waveguide", {"sample_points": 3}, "sample_points must be even and at least 4"),
         ("waveguide", {"sample_points": 10, "k": 12}, "k must be at most sample_points"),
+        # nor integers beyond double range
+        ("butterworth", {"c2": 10**400}, "c2 must be positive and finite"),
+        ("butterworth", {"grid_hz": [1e5, 10**400]}, "'grid_hz' must be a list of"),
+        ("waveguide", {"n": 10**400}, "n and k must be positive integers"),
+        ("waveguide", {"sigma": 10**400}, "sigma must be positive and finite"),
+        # a bool is not an area, and a nested list is not flattened
+        ("waveguide", {"area": {"nodes": [0, 0.175], "areas": [True, 1e-4]}},
+         "area areas must be finite numbers"),
+        ("waveguide", {"area": {"nodes": [[0, 0.175]], "areas": [1e-4, 1e-4]}},
+         "area nodes must be finite numbers"),
     ])
     def test_bad_config_is_a_usage_error(self, tmp_path, command, config, message):
         cfg = tmp_path / "cfg.json"
@@ -347,7 +374,7 @@ class TestPipelinesCli:
         assert proc.stdout.strip() == "False"
 
     def test_excitation_and_report_leave_scipy_optimize_unloaded(self):
-        # the LF root finds use simulate's own Brent routine: scipy.optimize
+        # the LF root finds use simulate's own bisection: scipy.optimize
         # would load about 20 MB of scipy packages into every waveguide run
         code = textwrap.dedent("""
             import sys

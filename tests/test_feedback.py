@@ -17,7 +17,7 @@ from conftest import (
     random_system,
     system_norm,
 )
-from oracles import star_product_blocks, star_transfer
+from oracles import pi_scattering_system, star_product_blocks, star_transfer
 
 from passivenet import core
 from passivenet.core import StateSpaceSystem, cascade_product, io_equivalent, transfer_function
@@ -30,7 +30,6 @@ from passivenet.errors import (
 )
 from passivenet.feedback import (
     regularize,
-    regularized_external_cayley,
     star_of_impedance_pair,
     star_product,
     star_via_chain,
@@ -43,7 +42,7 @@ from passivenet.passivity import (
     properly_impedance_passive,
     scattering_conservative_check,
 )
-from passivenet.pipelines import pi_circuit_system, pi_scattering_system
+from passivenet.pipelines import pi_circuit_system
 from passivenet.transforms import (
     ResistanceMatrix,
     external_cayley,
@@ -269,7 +268,7 @@ class TestRegularize:
     def test_regularized_external_cayley_printed_pi(self):
         c1, c2, l1, r0, eps = 2.2e-9, 3.4e-9, 14e-6, 50.0, 1e-3
         R = ResistanceMatrix(r0 * np.eye(1), r0 * np.eye(1))
-        got = regularized_external_cayley(pi_circuit_system(c1, c2, l1), R, eps)
+        got = external_cayley(regularize(pi_circuit_system(c1, c2, l1), eps), R)
         want = pi_scattering_system(c1, c2, l1, r0, r0, eps)
         for x, y in ((got.A, want.A), (got.B, want.B), (got.C, want.C), (got.D, want.D)):
             assert np.abs(x - y).max() <= 1e-12 * max(1.0, np.abs(y).max())
@@ -277,14 +276,14 @@ class TestRegularize:
     def test_epsilon_limit_matches_plain(self, rng):
         sys = random_impedance_passive(rng, 3, 1, 1)
         R = random_resistance(rng, 1, 1)
-        a = regularized_external_cayley(sys, R, 1e-10)
+        a = external_cayley(regularize(sys, 1e-10), R)
         b = external_cayley(sys, R)
         for x, y in ((a.A, b.A), (a.B, b.B), (a.C, b.C), (a.D, b.D)):
             assert np.abs(x - y).max() <= 1e-8 * max(1.0, np.abs(y).max())
 
     def test_unit_shift_plugin(self, rng):
         sys = random_conservative(rng, 2, 1, 1, skew_d=False)
-        out = regularized_external_cayley(sys, ResistanceMatrix(np.eye(1), np.eye(1)), 1.0)
+        out = external_cayley(regularize(sys, 1.0), ResistanceMatrix(np.eye(1), np.eye(1)))
         # D = I - 2 (2I)^-1 = 0
         assert np.allclose(out.D, 0.0, rtol=0, atol=1e-14)
 

@@ -11,6 +11,7 @@ from conftest import (
     random_impedance_passive,
     random_resistance,
 )
+from oracles import pi_scattering_system
 
 from passivenet.core import DiscreteSystem, StateSpaceSystem, parallel_sum, similarity
 from passivenet.errors import NotSPD
@@ -26,7 +27,7 @@ from passivenet.passivity import (
     scattering_conservative_check,
     scattering_passive_via_cayley,
 )
-from passivenet.pipelines import pi_circuit_system, pi_scattering_system
+from passivenet.pipelines import pi_circuit_system
 from passivenet.transforms import (
     ResistanceMatrix,
     external_cayley,

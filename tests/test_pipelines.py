@@ -15,9 +15,11 @@ from oracles import (
     abcd_to_s11,
     abcd_to_s21,
     butterworth_star_mp,
+    ladder_impedance_closed_form,
     ladder5_abcd,
     periodic_steady_state,
     pi_abcd,
+    pi_scattering_system,
     star_transfer,
     terminated_impedance,
     terminated_impedance_mp,
@@ -40,10 +42,8 @@ from passivenet.pipelines import (
     WaveguideConfig,
     butterworth_compose,
     butterworth_sparams,
-    ladder_impedance_closed_form,
     minimal_butterworth,
     pi_circuit_system,
-    pi_scattering_system,
     two_segment_tube,
     uniform_tube,
     waveguide_compose,

@@ -78,7 +78,7 @@ class TestStepResponse:
         assert np.abs(balance).max() <= 1e-10 * scale
 
     def test_scattering_balance_modes(self, rng):
-        from passivenet.pipelines import pi_scattering_system
+        from oracles import pi_scattering_system
         scat = pi_scattering_system(2.2e-9, 3.4e-9, 14e-6, 50.0, 50.0)
         phi = internal_cayley(scat, 88200.0)
         u = rng.standard_normal((400, 2))
@@ -280,7 +280,8 @@ class TestExcitations:
             sweep_instant_frequency(spec, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("name", ["sample_rate", "duration", "f0"])
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0,
+                                       pytest.param(10**400, id="1e400")])
     def test_scalars_positive_and_finite(self, name, value):
         # duration = inf used to raise a raw OverflowError from n_samples,
         # and f0 = inf a ZeroDivisionError from the signal
@@ -289,6 +290,15 @@ class TestExcitations:
             warnings.simplefilter("error")
             with pytest.raises(DimensionMismatch, match=f"^{name} must be positive and finite"):
                 ExcitationSpec("LFPulseTrain", **fields)
+
+    @pytest.mark.parametrize("shape", [(0.6, 0.7), (0.6, 0.7, 0.1, 0.2), ("a", 0.7, 0.1),
+                                       (0.6, True, 0.1), (0.6, 0.7, float("nan")),
+                                       (0.6, 0.7, 1.0), 0.6])
+    def test_lf_shape_must_be_three_numbers_in_unit_interval(self, shape):
+        # the first two failed in excitation_signal with a raw ValueError
+        # from unpacking, and the third raised a TypeError from comparing
+        with pytest.raises(DimensionMismatch, match=r"^lf_shape must be three numbers in \(0, 1\)"):
+            ExcitationSpec("LFPulseTrain", 120.0, 0.05, 44100.0, lf_shape=shape)
 
     @pytest.mark.parametrize("kind", ["LFPulseTrain", "LogSweep", "Impulse"])
     def test_no_samples_rejected(self, kind):
@@ -321,9 +331,10 @@ class TestExcitations:
         assert np.array_equal(x, impulse(spec))
 
     def test_brent_port_matches_scipy_brentq(self, monkeypatch):
-        # every root find of the LF solve returns scipy's root bit for bit
+        # every root find of the LF solve lands within twice Brent's default
+        # tolerance, 2e-12 + 4 eps |root|, of scipy's root
         from scipy.optimize import brentq
-        port = simulate._brentq
+        port = simulate._bisect
         finds = []
 
         def both(f, lo, hi):
@@ -331,24 +342,23 @@ class TestExcitations:
             finds.append((got, brentq(f, lo, hi)))
             return got
 
-        monkeypatch.setattr(simulate, "_brentq", both)
+        monkeypatch.setattr(simulate, "_bisect", both)
         shapes = itertools.product((0.05, 0.3, 0.6, 0.95), (0.1, 0.5, 0.7, 0.99),
                                    (0.01, 0.1, 0.5, 0.9))
         for f0, shape in itertools.product((55.0, 120.0, 333.3, 1000.0), shapes):
             simulate._solve_lf(f0, shape)
         assert len(finds) == 2 * 4 * 64
-        assert all(got == want for got, want in finds)
+        eps = np.finfo(float).eps
+        assert all(abs(got - want) <= 2 * (2e-12 + 4 * eps * abs(want)) for got, want in finds)
 
     def test_brent_port_reports_no_root(self):
-        assert simulate._brentq(lambda x: x * x + 1.0, -1.0, 1.0) is None
-        assert simulate._brentq(lambda x: float("nan"), -1.0, 1.0) is None
-        # a step leaves only bisection, and 100 halvings of 2e300 stay wide
-        assert simulate._brentq(lambda x: 1.0 if x > 1.0 else -1.0, -1e300, 1e300) is None
-        assert simulate._brentq(lambda x: 1.0 if x > 1.0 else -1.0, -1e6, 1e6) == \
+        assert simulate._bisect(lambda x: x * x + 1.0, -1.0, 1.0) is None
+        assert simulate._bisect(lambda x: float("nan"), -1.0, 1.0) is None
+        assert simulate._bisect(lambda x: 1.0 if x > 1.0 else -1.0, -1e6, 1e6) == \
             pytest.approx(1.0, abs=1e-11)
 
     def test_lf_solve_that_does_not_converge_names_the_shape(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_brentq", lambda f, lo, hi: None)
+        monkeypatch.setattr(simulate, "_bisect", lambda f, lo, hi: None)
         spec = ExcitationSpec("LFPulseTrain", f0=120.0, duration=0.05, sample_rate=44100.0)
         with pytest.raises(DimensionMismatch, match=r"^lf_shape=\(0.6, 0.7, 0.1\) at f0=120.0 Hz"):
             excitation_signal(spec)

@@ -12,11 +12,11 @@ from conftest import (
     random_resistance,
     random_system,
 )
-from oracles import transfer_dense
+from oracles import pi_scattering_system, transfer_dense
 
 from passivenet.core import StateSpaceSystem, transfer_function
 from passivenet.errors import SingularBlock, SingularGenerator, SplitMismatch
-from passivenet.pipelines import pi_circuit_system, pi_scattering_system
+from passivenet.pipelines import pi_circuit_system
 from passivenet.transforms import (
     ResistanceMatrix,
     bottom_inversion,
