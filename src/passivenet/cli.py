@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, feedback, pipelines, simulate, transforms, websterfem
-from .core import system_from_json, system_to_json, DiscreteSystem, _is_finite_real
+from .core import system_from_json, system_to_json, DiscreteSystem, _is_finite_real, _quote
 from .errors import DimensionMismatch, GateError, ParseError, PassiveNetError
 from .passivity import (
     discrete_impedance_certificate,
@@ -149,7 +149,7 @@ def _numbers(value, message: str) -> list:
     Infinity, which json.loads also reads, and nothing beyond double range);
     else ParseError(message, then the value)."""
     if not (isinstance(value, list) and all(map(_is_finite_real, value))):
-        raise ParseError(f"{message}, got {json.dumps(value)}")
+        raise ParseError(f"{message}, got {_quote(value, json.dumps)}")
     return value
 
 
@@ -167,7 +167,7 @@ def _run_pipeline(args, config_type, extra_keys: set[str], compute) -> int:
         raise ParseError(f"config must be a JSON object, got {type(config).__name__}")
     unknown = set(config) - {f.name for f in fields(config_type)} - extra_keys
     if unknown:
-        raise ParseError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+        raise ParseError(f"unknown config key(s): {_quote(', '.join(sorted(unknown)), str)}")
     t0 = time.monotonic()
     seed, files = compute(config)
     outdir = Path(args.out)
@@ -205,7 +205,7 @@ def cmd_waveguide(args) -> int:
         if area_csv is not None:
             if not isinstance(area_csv, str):
                 raise ParseError(f"config key 'area_csv' must be a string or null, "
-                                 f"got {json.dumps(area_csv)}")
+                                 f"got {_quote(area_csv, json.dumps)}")
             area = websterfem.load_area_csv(area_csv)
         elif spec is not None:
             if not isinstance(spec, dict) or not {"nodes", "areas"} <= spec.keys():

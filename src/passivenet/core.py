@@ -61,16 +61,27 @@ def _is_finite_real(value) -> bool:
         return False
 
 
+def _quote(value, render=repr) -> str:
+    """``render(value)`` for a usage error, cut to 60 characters plus "…":
+    an outside value (a config entry, a JSON field) can be any size, and an
+    int past ``sys.get_int_max_str_digits()`` cannot be rendered at all."""
+    try:
+        text = render(value)
+    except ValueError:  # an int too long to render
+        text = f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def _require_positive(exc_type, nonnegative=(), **values) -> None:
     """Raise exc_type naming the first of ``values`` that is not a real number
     (a bool is not one), or not positive and finite (nonnegative and finite,
     for the names in ``nonnegative``); finite means a finite double."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise exc_type(f"{name} must be a real number, got {value!r}")
+            raise exc_type(f"{name} must be a real number, got {_quote(value)}")
         if not (_is_finite_real(value) and (value > 0 or name in nonnegative and value == 0)):
             kind = "nonnegative" if name in nonnegative else "positive"
-            raise exc_type(f"{name} must be {kind} and finite, got {value}")
+            raise exc_type(f"{name} must be {kind} and finite, got {_quote(value, str)}")
 
 
 def _symmetric_eig(name: str, value, definite: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -621,7 +632,8 @@ def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
         if key not in obj:
             raise DimensionMismatch(f"system JSON is missing field '{key}'")
         if key in ("n", "m1", "m2") and (type(obj[key]) is not int or obj[key] < 0):
-            raise DimensionMismatch(f"field '{key}' must be an integer >= 0, got {obj[key]!r}")
+            raise DimensionMismatch(f"field '{key}' must be an integer >= 0, "
+                                    f"got {_quote(obj[key])}")
     n, m1, m2 = obj["n"], obj["m1"], obj["m2"]
     m = m1 + m2
     mats = []
@@ -633,11 +645,12 @@ def system_from_json(obj: dict) -> StateSpaceSystem | DiscreteSystem:
                                           and all(map(_is_finite_real, row))
                                           for row in value))
         if not shaped:
-            raise DimensionMismatch(f"field '{key}' must be {rows} rows of {cols} finite numbers")
+            raise DimensionMismatch(f"field '{key}' must be {_quote(rows, str)} rows of "
+                                    f"{_quote(cols, str)} finite numbers")
         mats.append(np.array(value, dtype=float).reshape(rows, cols))
     sigma = obj.get("sigma")
     if sigma is None:
         return StateSpaceSystem(*mats, split=(m1, m2))
     if not _is_finite_real(sigma):
-        raise DimensionMismatch(f"field 'sigma' must be a finite number, got {sigma!r}")
+        raise DimensionMismatch(f"field 'sigma' must be a finite number, got {_quote(sigma)}")
     return DiscreteSystem(*mats, sigma=float(sigma), split=(m1, m2))

@@ -65,10 +65,6 @@ class NotWellPosed(GateError):
         self.report = report
 
 
-class ResistanceMismatch(PassiveNetError):
-    """Coupled channels of a star product use different resistance blocks."""
-
-
 class NotProperlyPassive(PassiveNetError):
     """Neither star-product operand is properly impedance passive after its
     shift, or one with D + D^T > 0 has a violating band, an unstable A or

@@ -24,16 +24,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import StateSpaceSystem, _gate_sigma, _require_positive
-from .errors import (DimensionMismatch, NotProperlyPassive, NotSPD, NotWellPosed,
-                     ResistanceMismatch)
+from .errors import DimensionMismatch, NotProperlyPassive, NotSPD, NotWellPosed
 from .passivity import _impedance_premise
-from .transforms import (
-    ResistanceMatrix,
-    chain_transform,
-    external_cayley,
-    inverse_chain,
-    inverse_external_cayley,
-)
+from .transforms import (ResistanceMatrix, chain_transform, external_cayley, inverse_chain,
+                         inverse_external_cayley)
 from . import core
 
 
@@ -107,26 +101,22 @@ def regularize(sys_i: StateSpaceSystem, epsilon: float) -> StateSpaceSystem:
     return sys_i.replace(D=sys_i.D + epsilon * np.eye(sys_i.m))
 
 
-def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
-                           Rp: ResistanceMatrix, Rq: ResistanceMatrix,
-                           epsilon_p: float = 0.0, epsilon_q: float = 0.0,
-                           impedance: bool = False) -> StateSpaceSystem:
-    """Couple two impedance systems through their external Cayley transforms.
+def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem, R: float,
+                           epsilon_p: float = 0.0, epsilon_q: float = 0.0) -> StateSpaceSystem:
+    """The coupled impedance of p_i + epsilon_p I and q_i + epsilon_q I: the
+    star product of their external Cayley transforms at R * I on every port,
+    transformed back.  R > 0 only sets that scattering form's wave variables,
+    so it moves the result by roundoff.
 
-    The coupled channel must use one resistance block (Rp.R2 == Rq.R1
-    entrywise).  At least one operand, after its shift, must be properly
-    impedance passive (``passivity.properly_impedance_passive``), and so
-    must each with D + D^T positive definite: the shift makes a passive
-    operand properly passive, so that the coupled loop is well-posed and the
-    composite passive, hence stable, but it cannot mend one that is not.
-    Either failure raises NotProperlyPassive, the second naming the operand
-    and its bands, unstable eigenvalue or axis pole.  With ``impedance=True``
-    the result is transformed back to impedance form against
-    diag(Rp.R1, Rq.R2).
+    At least one shifted operand must be properly impedance passive
+    (``passivity.properly_impedance_passive``), and so must each with
+    D + D^T positive definite: the shift makes a passive operand properly
+    passive, so the loop is well-posed and the composite passive, hence
+    stable, but it cannot mend one that is not.  Either failure raises
+    NotProperlyPassive, the second naming the operand and its bands,
+    unstable eigenvalue or axis pole.
     """
-    if Rp.R2.shape != Rq.R1.shape or not np.array_equal(Rp.R2, Rq.R1):
-        raise ResistanceMismatch(
-            "coupled-channel resistance blocks differ (Rp.R2 != Rq.R1)")
+    _require_positive(DimensionMismatch, R=R)
     p_sh = regularize(p_i, epsilon_p)
     q_sh = regularize(q_i, epsilon_q)
     proper = False
@@ -141,8 +131,6 @@ def star_of_impedance_pair(p_i: StateSpaceSystem, q_i: StateSpaceSystem,
         proper = True
     if not proper:
         raise NotProperlyPassive("neither operand is properly impedance passive")
-    prod = star_product(external_cayley(p_sh, Rp), external_cayley(q_sh, Rq))
-    if impedance:
-        R = ResistanceMatrix(Rp.R1, Rq.R2)
-        return inverse_external_cayley(prod, R)
-    return prod
+    prod = star_product(external_cayley(p_sh, ResistanceMatrix.uniform(R, p_sh.split)),
+                        external_cayley(q_sh, ResistanceMatrix.uniform(R, q_sh.split)))
+    return inverse_external_cayley(prod, ResistanceMatrix.uniform(R, prod.split))

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import loewner, simulate, transforms, websterfem
-from .core import (DiscreteSystem, StateSpaceSystem, _ResolventPlan, _is_finite_real,
+from .core import (DiscreteSystem, StateSpaceSystem, _ResolventPlan, _is_finite_real, _quote,
                    _require_positive)
 from .errors import DimensionMismatch, NearSpectrum
 from .feedback import star_of_impedance_pair, star_product
@@ -179,7 +179,7 @@ def butterworth_compose(cfg: ButterworthConfig) -> ButterworthModel:
     star product is not assembled for eps > 0 (see the module docstring); at
     eps = 0 it rejects the loop, raising NotWellPosed with its report.
     """
-    R = ResistanceMatrix.scalars(cfg.r0, cfg.r0)
+    R = ResistanceMatrix.uniform(cfg.r0, (1, 1))
     if cfg.epsilon <= 0:
         # the unregularised loop has D = -I against D = -I: not well-posed
         p_i = pi_circuit_system(cfg.c1, cfg.c2, cfg.l1)
@@ -260,21 +260,22 @@ class WaveguideConfig:
         def whole(value, low):  # an integer (not a bool) of at least low, in double range
             return isinstance(value, numbers.Integral) and _is_finite_real(value) and value >= low
         if not (whole(self.n, 1) and whole(self.k, 1)):
-            raise DimensionMismatch(f"n and k must be positive integers, got {self.n}, {self.k}")
+            raise DimensionMismatch(f"n and k must be positive integers, "
+                                    f"got {_quote(self.n)}, {_quote(self.k)}")
         if not whole(self.sample_points, 1):
             raise DimensionMismatch(f"sample_points must be a positive integer, "
-                                    f"got {self.sample_points!r}")
+                                    f"got {_quote(self.sample_points)}")
         # what assemble, default_scheme and reduce_order would reject later
         if self.n < 2:
-            raise DimensionMismatch(f"n must be at least 2, got {self.n}")
+            raise DimensionMismatch(f"n must be at least 2, got {_quote(self.n)}")
         if self.sample_points % 2 or self.sample_points < 4:
             raise DimensionMismatch(f"sample_points must be even and at least 4, "
-                                    f"got {self.sample_points}")
+                                    f"got {_quote(self.sample_points)}")
         if self.k > self.sample_points:
-            raise DimensionMismatch(f"k must be at most sample_points = {self.sample_points}, "
-                                    f"got {self.k}")
+            raise DimensionMismatch(f"k must be at most sample_points = "
+                                    f"{_quote(self.sample_points)}, got {_quote(self.k)}")
         if not whole(self.seed, 0):
-            raise DimensionMismatch(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise DimensionMismatch(f"seed must be a nonnegative integer, got {_quote(self.seed)}")
         _require_positive(DimensionMismatch, ("epsilon_factor",), c=self.c, rho=self.rho,
                           sigma=self.sigma, square=self.square, epsilon_factor=self.epsilon_factor)
 
@@ -348,10 +349,8 @@ def waveguide_compose(cfg: WaveguideConfig) -> WaveguideComposite:
     interp = loewner.reduce_order(loewner.realify(
         loewner.loewner_matrices(scheme, vm, vl)), cfg.k)
     load = interp.reduced
-    Rp = ResistanceMatrix.scalars(_CHANNEL_RESISTANCE, _CHANNEL_RESISTANCE)
-    Rq = ResistanceMatrix.scalars(_CHANNEL_RESISTANCE)
-    composite = star_of_impedance_pair(tube.system, load, Rp, Rq, epsilon_p=0.0,
-                                       epsilon_q=cfg.epsilon, impedance=True)
+    composite = star_of_impedance_pair(tube.system, load, _CHANNEL_RESISTANCE,
+                                       epsilon_q=cfg.epsilon)
     discrete = transforms.internal_cayley(composite, cfg.sigma)
     mouth_row = np.concatenate([tube.system.C[1], np.zeros(cfg.k)])
     return WaveguideComposite(tube, piston, scheme, interp, load,

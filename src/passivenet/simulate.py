@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (DiscreteSystem, StateSpaceSystem, _as_matrix, _is_finite_real,
+from .core import (DiscreteSystem, StateSpaceSystem, _as_matrix, _is_finite_real, _quote,
                    _require_positive)
 from .errors import DimensionMismatch, NonPositive
 
@@ -168,19 +168,23 @@ class ExcitationSpec:
 
     def __post_init__(self):
         if self.kind not in ("LFPulseTrain", "LogSweep", "Impulse"):
-            raise DimensionMismatch(f"unknown excitation kind {self.kind!r}")
+            raise DimensionMismatch(f"unknown excitation kind {_quote(self.kind)}")
         _require_positive(DimensionMismatch, sample_rate=self.sample_rate,
                           duration=self.duration, f0=self.f0)
         if self.n_samples < 1:
-            raise DimensionMismatch(f"duration={self.duration} s at sample_rate="
-                                    f"{self.sample_rate} Hz gives no samples")
+            raise DimensionMismatch(f"duration={_quote(self.duration, str)} s at sample_rate="
+                                    f"{_quote(self.sample_rate, str)} Hz gives no samples")
         shape = self.lf_shape
         if not (isinstance(shape, (tuple, list)) and len(shape) == 3
                 and all(_is_finite_real(v) and 0.0 < v < 1.0 for v in shape)):
-            raise DimensionMismatch(f"lf_shape must be three numbers in (0, 1), got {shape!r}")
-        if self.f1 is not None and not (math.isfinite(self.f1) and self.f1 > self.f0):
-            raise DimensionMismatch(f"sweep end f1={self.f1} must be finite and exceed "
-                                    f"f0={self.f0}")
+            raise DimensionMismatch(f"lf_shape must be three numbers in (0, 1), "
+                                    f"got {_quote(shape)}")
+        if self.f1 is not None and not (_is_finite_real(self.f1) and self.f1 > self.f0):
+            raise DimensionMismatch(f"sweep end f1={_quote(self.f1)} must be finite and "
+                                    f"exceed f0={_quote(self.f0, str)}")
+        if self.kind == "LogSweep" and _sweep_end(self) <= self.f0:  # the default end
+            raise DimensionMismatch(f"sweep end f1 = 0.45 * sample_rate = {_sweep_end(self):.6g}"
+                                    f" Hz (the default) must exceed f0={_quote(self.f0, str)}")
 
     @property
     def n_samples(self) -> int:
@@ -313,11 +317,8 @@ def lf_pulse_train(spec: ExcitationSpec) -> np.ndarray:
 
 
 def _sweep_end(spec: ExcitationSpec) -> float:
-    """f1, or 0.45 * sample_rate by default; a sweep must rise."""
-    f1 = spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
-    if f1 <= spec.f0:
-        raise DimensionMismatch(f"sweep end {f1} must exceed start {spec.f0}")
-    return f1
+    """f1, or 0.45 * sample_rate by default (a LogSweep checks it exceeds f0)."""
+    return spec.f1 if spec.f1 is not None else 0.45 * spec.sample_rate
 
 
 def log_sweep(spec: ExcitationSpec) -> np.ndarray:

@@ -191,9 +191,8 @@ class ResistanceMatrix:
         _freeze(self, sqrt=scipy.linalg.block_diag(*roots))
 
     @classmethod
-    def scalars(cls, r1: float, r2: float | None = None) -> "ResistanceMatrix":
-        R2 = np.zeros((0, 0)) if r2 is None else np.array([[float(r2)]])
-        return cls(np.array([[float(r1)]]), R2)
+    def uniform(cls, r: float, split: tuple[int, int]) -> "ResistanceMatrix":
+        return cls(r * np.eye(split[0]), r * np.eye(split[1]))
 
     @property
     def split(self) -> tuple[int, int]:

@@ -262,7 +262,8 @@ def load_area_csv(path_or_file) -> AreaFunction:
             continue
         if not header_seen:
             if line.replace(" ", "") != _HEADER:
-                raise ParseError(f"line {lineno}: expected header '{_HEADER}', got {line!r}")
+                raise ParseError(f"line {lineno}: expected header '{_HEADER}', "
+                                 f"got {core._quote(line)}")
             header_seen = True
             continue
         parts = line.split(",")
@@ -272,7 +273,8 @@ def load_area_csv(path_or_file) -> AreaFunction:
             nodes.append(float(parts[0]))
             areas.append(float(parts[1]))
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"line {lineno}: expected two numbers, "
+                             f"got {core._quote(line)}") from exc
     if not header_seen:
         raise ParseError("line 1: missing header")
     return AreaFunction(np.array(nodes), np.array(areas))

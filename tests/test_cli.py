@@ -364,20 +364,48 @@ class TestPipelinesCli:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("butterworth", {"c2": 10**400}, "c2 must be"),
+        ("waveguide", {"n": 10**400}, "n and k must be"),
+        ("butterworth", {"grid_hz": [1e5] * 3001 + ["1e6"]}, "'grid_hz' must be"),
+        ("waveguide", {"area_csv": [0.0] * 3000}, "'area_csv' must be"),
+        ("waveguide", {"area": {"nodes": ["0"] * 3000, "areas": [1e-4]}}, "area nodes must be"),
+        ("butterworth", {"c" * 3000: 1.0}, "unknown config key(s): ccc"),
+    ], ids=["c2", "n", "grid_hz", "area_csv", "area", "unknown-key"])
+    def test_outside_value_is_quoted_briefly(self, tmp_path, command, config, key):
+        # each of these printed the whole value, up to 15 kB of stderr
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        proc = run_cli([command, str(cfg), "--out", str(out)])
+        assert proc.returncode == 1 and not out.exists()
+        assert proc.stderr.startswith("error:") and key in proc.stderr
+        assert len(proc.stderr) <= 200 and "Traceback" not in proc.stderr
+
+    @staticmethod
+    def _scipy_beyond_linalg(code):
+        # the scipy modules that running `code` loads beyond those that
+        # scipy.linalg itself loads
+        listing = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        loaded = []
+        for snippet in ("import sys, scipy.linalg", "import sys\n" + code):
+            proc = subprocess.run([sys.executable, "-c", snippet + "\n" + listing],
+                                  capture_output=True, text=True, env=_cli_env())
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(set(proc.stdout.split()))
+        assert "scipy.linalg" in loaded[0]
+        return loaded[1] - loaded[0]
+
     def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize serves one LF root find; loading it at import time
-        # was a large share of every command's cold start
-        code = "import sys, passivenet.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_cli_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        # scipy.optimize or scipy.special at import time would cost every
+        # command's cold start tens of ms and MB
+        assert self._scipy_beyond_linalg("import passivenet.cli") == set()
 
     def test_excitation_and_report_leave_scipy_optimize_unloaded(self):
-        # the LF root finds use simulate's own bisection: scipy.optimize
-        # would load about 20 MB of scipy packages into every waveguide run
-        code = textwrap.dedent("""
-            import sys
+        # an LF excitation, a waveguide report and a Butterworth sweep load
+        # only the scipy modules that scipy.linalg itself loads
+        run = textwrap.dedent("""
+            import passivenet.cli
             from passivenet import pipelines, simulate
             spec = simulate.ExcitationSpec("LFPulseTrain", f0=120.0, duration=0.01,
                                            sample_rate=44100.0)
@@ -385,12 +413,11 @@ class TestPipelinesCli:
             comp = pipelines.waveguide_compose(
                 pipelines.WaveguideConfig(n=24, k=12, sample_points=80))
             pipelines.waveguide_report(comp, spec, response_grid_hz=[100.0])
-            print('scipy.optimize' in sys.modules)
+            cfg = pipelines.ButterworthConfig()
+            pipelines.butterworth_compose(cfg)
+            pipelines.butterworth_sparams(cfg, [1e5, 1e6, 5e6])
         """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_cli_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert self._scipy_beyond_linalg(run) == set()
 
     def test_main_entrypoint_callable(self, pi_json, capsys):
         code = main(["check", pi_json, "--kind", "impedance"])

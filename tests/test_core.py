@@ -551,3 +551,39 @@ class TestJsonFormat:
         obj.pop("B")
         with pytest.raises(DimensionMismatch, match="'B'"):
             system_from_json(obj)
+
+
+class TestQuote:
+    """Usage errors quote an outside value through ``core._quote``: at most
+    60 characters of it and "…", so a message stays short whatever the
+    value's size."""
+
+    @pytest.mark.parametrize("value, text", [
+        (1.5, "1.5"), ("a" * 60, repr("a" * 60)[:60] + "…"), ("a" * 58, repr("a" * 58)),
+        (10**400, "1" + "0" * 59 + "…"),
+        # past sys.get_int_max_str_digits() repr raises ValueError
+        (10**5000, "<int of 16610 bits>")],
+        ids=["float", "str-over", "str-at", "int", "long-int"])
+    def test_cut_at_the_limit(self, value, text):
+        assert core._quote(value) == text
+
+    def test_render(self):
+        assert core._quote([None, True], json.dumps) == "[null, true]"
+
+    @pytest.mark.parametrize("values", [{"sigma": "1" * 1000}, {"sigma": 10**400},
+                                        {"sigma": 10**5000}, {"sigma": [1.0] * 1000}],
+                             ids=["str", "int", "long-int", "list"])
+    def test_require_positive(self, values):
+        with pytest.raises(DimensionMismatch, match="^sigma must be") as info:
+            core._require_positive(DimensionMismatch, **values)
+        assert len(str(info.value)) <= 200
+
+    @pytest.mark.parametrize("key, value", [("n", "2" * 1000), ("n", 10**400),
+                                            ("sigma", "9" * 1000), ("sigma", [0.5] * 1000)],
+                             ids=["n-str", "n-int", "sigma-str", "sigma-list"])
+    def test_system_from_json(self, key, value):
+        obj = {"n": 1, "m1": 1, "m2": 0, "A": [[0.0]], "B": [[1.0]], "C": [[1.0]],
+               "D": [[1.0]], key: value}
+        with pytest.raises(DimensionMismatch, match=f"^field '{key}'|^field 'A'") as info:
+            system_from_json(obj)
+        assert len(str(info.value)) <= 200

@@ -25,7 +25,6 @@ from passivenet.errors import (
     DimensionMismatch,
     NotProperlyPassive,
     NotWellPosed,
-    ResistanceMismatch,
     SingularBlock,
 )
 from passivenet.feedback import (
@@ -47,6 +46,7 @@ from passivenet.transforms import (
     ResistanceMatrix,
     external_cayley,
     internal_cayley,
+    inverse_external_cayley,
 )
 
 
@@ -289,30 +289,39 @@ class TestRegularize:
 
 
 class TestStarOfImpedancePair:
-    def test_resistance_mismatch(self, rng):
-        p = random_impedance_passive(rng, 2, 1, 1)
-        q = random_impedance_passive(rng, 2, 1, 1)
-        Rp = ResistanceMatrix(np.eye(1), 2.0 * np.eye(1))
-        Rq = ResistanceMatrix(3.0 * np.eye(1), np.eye(1))
-        with pytest.raises(ResistanceMismatch):
-            star_of_impedance_pair(p, q, Rp, Rq)
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan"), float("inf"), True, "1",
+                                   ResistanceMatrix(np.eye(1), np.eye(1))])
+    def test_channel_resistance_is_one_positive_number(self, rng, R):
+        p = random_impedance_passive(rng, 2, 1, 1, proper=True)
+        q = random_impedance_passive(rng, 2, 1, 1, proper=True)
+        with pytest.raises(DimensionMismatch, match="^R must be (a real number|positive)"):
+            star_of_impedance_pair(p, q, R)
 
     def test_both_conservative_unregularised_rejected(self, rng):
         p = random_conservative(rng, 2, 1, 1, skew_d=False)
         q = random_conservative(rng, 2, 1, 1, skew_d=False)
-        R = ResistanceMatrix(np.eye(1), np.eye(1))
         with pytest.raises(NotProperlyPassive):
-            star_of_impedance_pair(p, q, R, R)
+            star_of_impedance_pair(p, q, 1.0)
 
     def test_strict_plus_conservative_succeeds(self, rng):
         p = random_impedance_passive(rng, 3, 1, 1, proper=True)
         q = random_conservative(rng, 2, 1, 1, skew_d=False)
-        R = random_resistance(rng, 1, 1)
-        Rq = ResistanceMatrix(R.R2, random_resistance(rng, 1, 1).R2)
-        out = star_of_impedance_pair(p, q, R, Rq)
-        assert out.n == 5
-        cert = discrete_scattering_certificate(internal_cayley(out, 3.0))
-        assert cert.passive
+        out = star_of_impedance_pair(p, q, float(rng.uniform(0.5, 2.0)))
+        assert out.n == 5 and out.split == (1, 1)
+        assert impedance_certificate(out).passive
+
+    def test_result_is_the_scattering_star_transformed_back(self, rng):
+        # the impedance result is the inverse external Cayley transform of
+        # the scattering star product, both at R * I
+        p = random_impedance_passive(rng, 3, 2, 1, proper=True)
+        q = random_impedance_passive(rng, 2, 1, 1, proper=False)
+        r = 2.5
+        prod = star_product(external_cayley(p, ResistanceMatrix.uniform(r, (2, 1))),
+                            external_cayley(q, ResistanceMatrix.uniform(r, (1, 1))))
+        want = inverse_external_cayley(prod, ResistanceMatrix.uniform(r, (2, 1)))
+        got = star_of_impedance_pair(p, q, r)
+        for name in ("A", "B", "C", "D", "split"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     @pytest.mark.parametrize("epsilon_q", [0.0, 0.1])
     def test_unstable_operand_is_named(self, epsilon_q):
@@ -321,10 +330,8 @@ class TestStarOfImpedancePair:
         p = random_conservative(np.random.default_rng(3), 3, 1, 1, skew_d=False)
         one = np.ones((1, 1))
         q = StateSpaceSystem(one, one, one, one, split=(1, 0))
-        R = ResistanceMatrix(np.eye(1), np.eye(1))
-        R1 = ResistanceMatrix(np.eye(1), np.zeros((0, 0)))
         with pytest.raises(NotProperlyPassive, match=r"^q_i \+ .* the eigenvalue 1, "):
-            star_of_impedance_pair(p, q, R, R1, 0.0, epsilon_q, impedance=True)
+            star_of_impedance_pair(p, q, 1.0, 0.0, epsilon_q)
 
     def test_negative_residue_on_the_axis_is_named(self):
         # q = 1 - 1/s has no band and no unstable eigenvalue; against the
@@ -334,17 +341,13 @@ class TestStarOfImpedancePair:
         p = StateSpaceSystem(np.zeros((1, 1)), h, h.T.copy(), np.zeros((2, 2)), split=(1, 1))
         one = np.ones((1, 1))
         q = StateSpaceSystem(np.zeros((1, 1)), one, -one, one, split=(1, 0))
-        R = ResistanceMatrix(np.eye(1), np.eye(1))
-        R1 = ResistanceMatrix(np.eye(1), np.zeros((0, 0)))
         with pytest.raises(NotProperlyPassive, match=r"^q_i \+ .* residue at the pole 0j "):
-            star_of_impedance_pair(p, q, R, R1, impedance=True)
+            star_of_impedance_pair(p, q, 1.0)
 
     def test_impedance_recovery(self, rng):
         p = random_impedance_passive(rng, 3, 1, 1, proper=True)
         q = random_impedance_passive(rng, 2, 1, 1, proper=True)
-        R = random_resistance(rng, 1, 1)
-        Rq = ResistanceMatrix(R.R2, random_resistance(rng, 1, 1).R2)
-        imp = star_of_impedance_pair(p, q, R, Rq, impedance=True)
+        imp = star_of_impedance_pair(p, q, float(rng.uniform(0.5, 2.0)))
         assert impedance_certificate(imp).passive
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -364,11 +367,7 @@ class TestStarOfImpedancePair:
         p = random_impedance_passive(rng, n[0], m1, k, proper=proper[0])
         q = random_impedance_passive(rng, n[1], k, m2, proper=proper[1])
         eps = [rng.uniform(0.1, 1.0) if on else 0.0 for on in shifted]
-        got, want = (
-            star_of_impedance_pair(p, q, ResistanceMatrix(r * np.eye(m1), r * np.eye(k)),
-                                   ResistanceMatrix(r * np.eye(k), r * np.eye(m2)), *eps,
-                                   impedance=True)
-            for r in 10.0 ** np.array(log_r))
+        got, want = (star_of_impedance_pair(p, q, r, *eps) for r in 10.0 ** np.array(log_r))
         X, Y = (np.block([[sys.A, sys.B], [sys.C, sys.D]]) for sys in (got, want))
         scale = system_norm(p) + system_norm(q) + sum(eps)
         assert np.abs(X - Y).max() <= 1e-12 * (np.abs(Y).max() + scale)

@@ -28,7 +28,7 @@ from oracles import (
 from passivenet import core, simulate
 from passivenet.core import io_equivalent, minimality, transfer_function
 from passivenet.errors import DimensionMismatch, NearSpectrum, NotProperlyPassive, NotWellPosed
-from passivenet.feedback import regularize, star_of_impedance_pair
+from passivenet.feedback import regularize, star_of_impedance_pair, star_product
 from passivenet.loewner import PistonParams
 from passivenet.passivity import (
     CONSERVATIVE,
@@ -52,7 +52,8 @@ from passivenet.pipelines import (
     _rotated_product,
 )
 from passivenet.simulate import ExcitationSpec, frequency_response, resonances, step_response
-from passivenet.transforms import ResistanceMatrix, internal_cayley, inverse_external_cayley
+from passivenet.transforms import (ResistanceMatrix, external_cayley, internal_cayley,
+                                   inverse_external_cayley)
 from conftest import STEP_PARITY, normwise, stepping_gaps
 
 CFG = ButterworthConfig()  # 2.2 nF / 3.4 nF / 14 uH / 50 ohm / 1 nohm
@@ -115,6 +116,23 @@ class TestConfigValues:
     def test_seed_zero_is_allowed(self):
         assert WaveguideConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("config, name, value, key", [
+        (ButterworthConfig, "c2", 10**400, "c2 must be positive"),
+        (ButterworthConfig, "r0", "50" * 500, "r0 must be a real number"),
+        (WaveguideConfig, "n", 10**400, "n and k must be"),
+        (WaveguideConfig, "k", [16] * 1000, "n and k must be"),
+        (WaveguideConfig, "sample_points", 10**300 + 1, "sample_points must be even"),
+        (WaveguideConfig, "k", 10**300, "k must be at most sample_points"),
+        (WaveguideConfig, "seed", "2024" * 500, "seed must be"),
+        (WaveguideConfig, "sigma", 10**400, "sigma must be positive"),
+    ], ids=["c2", "r0", "n", "k", "sample_points", "k-big", "seed", "sigma"])
+    def test_outside_value_is_quoted_briefly(self, config, name, value, key):
+        # ButterworthConfig(c2=10**400) and WaveguideConfig(n=10**400) gave
+        # messages of 437 and 444 characters
+        with pytest.raises(DimensionMismatch, match=f"^{key}") as info:
+            config(**{name: value})
+        assert len(str(info.value)) <= 200
+
     def test_smallest_sizes_are_allowed(self):
         cfg = WaveguideConfig(n=2, sample_points=4, k=4)
         assert (cfg.n, cfg.sample_points, cfg.k) == (2, 4, 4)
@@ -153,10 +171,10 @@ class TestButterworthCompose:
     def test_star_product_matches_analytic_at_moderate_epsilon(self):
         cfg = ButterworthConfig(epsilon=1e-3)
         model = butterworth_compose(cfg)
-        R = ResistanceMatrix.scalars(cfg.r0, cfg.r0)
-        generic = star_of_impedance_pair(pi_circuit_system(cfg.c1, cfg.c2, cfg.l1),
-                                         pi_circuit_system(cfg.c2, cfg.c1, cfg.l1), R, R,
-                                         epsilon_p=cfg.epsilon, epsilon_q=cfg.epsilon)
+        R = ResistanceMatrix.uniform(cfg.r0, (1, 1))
+        generic = star_product(*(
+            external_cayley(regularize(pi_circuit_system(*c, cfg.l1), cfg.epsilon), R)
+            for c in ((cfg.c1, cfg.c2), (cfg.c2, cfg.c1))))
         # same transfer function from the generic machinery and the analytic
         # rotated assembly (moderate eps keeps the direct product accurate)
         assert io_equivalent(generic, model.regularized_rotated, tol=1e-8)
@@ -422,14 +440,16 @@ class TestWaveguide:
         assert np.count_nonzero(comp.mouth_row[4 * cfg.n:]) == 0
 
     def test_composite_is_the_impedance_star_product(self, small_composite):
-        # the one-port impedance by hand: scattering star, then its inverse
-        # external Cayley transform, at the pipeline's channel resistance R
+        # the one-port impedance by hand: shift the load, external Cayley
+        # both, star, then the inverse external Cayley transform, all at the
+        # pipeline's channel resistance R; bit for bit
         cfg, comp = small_composite
         R = _CHANNEL_RESISTANCE
-        prod = star_of_impedance_pair(comp.tube.system, comp.load,
-                                      ResistanceMatrix.scalars(R, R),
-                                      ResistanceMatrix.scalars(R), epsilon_q=cfg.epsilon)
-        want = inverse_external_cayley(prod, ResistanceMatrix.scalars(R))
+        prod = star_product(
+            external_cayley(comp.tube.system, ResistanceMatrix(R * np.eye(1), R * np.eye(1))),
+            external_cayley(regularize(comp.load, cfg.epsilon),
+                            ResistanceMatrix(R * np.eye(1), np.zeros((0, 0)))))
+        want = inverse_external_cayley(prod, ResistanceMatrix(R * np.eye(1), np.zeros((0, 0))))
         for name in ("A", "B", "C", "D", "split"):
             np.testing.assert_array_equal(getattr(comp.composite_impedance, name),
                                           getattr(want, name))
@@ -439,10 +459,7 @@ class TestWaveguide:
         # (4.2e6) the composite moves by roundoff (3.2e-16 measured) and the
         # sweep, which couples the components pointwise, not at all
         cfg, comp = small_composite
-        by_hand = [star_of_impedance_pair(comp.tube.system, comp.load,
-                                          ResistanceMatrix.scalars(R, R),
-                                          ResistanceMatrix.scalars(R), epsilon_q=cfg.epsilon,
-                                          impedance=True)
+        by_hand = [star_of_impedance_pair(comp.tube.system, comp.load, R, epsilon_q=cfg.epsilon)
                    for R in (_CHANNEL_RESISTANCE, comp.piston.Z0)]
         for name in "ABCD":
             X, Y = (getattr(sys, name) for sys in by_hand)
@@ -582,9 +599,7 @@ class TestDefaultLoadPremise:
         assert properly_impedance_passive(shifted) == (True, 2.0 * comp.epsilon)
         # so the same coupling with the shift done by the caller (both
         # shifts 0) passes the same premise and gives the same composite
-        R = _CHANNEL_RESISTANCE
-        got = star_of_impedance_pair(comp.tube.system, shifted, ResistanceMatrix.scalars(R, R),
-                                     ResistanceMatrix.scalars(R), impedance=True)
+        got = star_of_impedance_pair(comp.tube.system, shifted, _CHANNEL_RESISTANCE)
         for name in ("A", "B", "C", "D", "split"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(comp.composite_impedance, name))

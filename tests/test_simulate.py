@@ -266,18 +266,37 @@ class TestExcitations:
         assert f[0] == pytest.approx(50.0)
         assert f[1] == pytest.approx(2000.0)
 
-    @pytest.mark.parametrize("f1", [50.0, 100.0, 0.0, -10.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("f1", [50.0, 100.0, 0.0, -10.0, float("nan"), float("inf"),
+                                    # a raw OverflowError and TypeError from math.isfinite
+                                    pytest.param(10**400, id="1e400"), "2e4", True])
     def test_sweep_end_must_be_finite_and_exceed_start(self, f1):
-        with pytest.raises(DimensionMismatch, match="f1="):
+        with pytest.raises(DimensionMismatch, match="^sweep end f1="):
             ExcitationSpec("LogSweep", f0=100.0, duration=1.0, sample_rate=8000.0, f1=f1)
 
-    def test_default_sweep_end_below_start_rejected_by_both(self):
-        # f0 above the default end 0.45 * sample_rate: no falling sweep anywhere
-        spec = ExcitationSpec("LogSweep", f0=500.0, duration=1.0, sample_rate=1000.0)
-        with pytest.raises(DimensionMismatch, match="must exceed start"):
-            log_sweep(spec)
-        with pytest.raises(DimensionMismatch, match="must exceed start"):
-            sweep_instant_frequency(spec, np.array([0.0, 1.0]))
+    def test_default_sweep_end_below_start_rejected_at_construction(self):
+        # f0 above the default end 0.45 * sample_rate: no falling sweep; this
+        # failed only later, in excitation_signal
+        for f0, sample_rate in ((500.0, 1000.0), (30000.0, 44100.0)):
+            with pytest.raises(DimensionMismatch, match=r"^sweep end f1 = 0.45 \* sample_rate"):
+                ExcitationSpec("LogSweep", f0=f0, duration=1.0, sample_rate=sample_rate)
+            # an explicit f1 above f0, or a kind that does not sweep, is fine
+            ExcitationSpec("LogSweep", f0=f0, duration=1.0, sample_rate=sample_rate, f1=2 * f0)
+            ExcitationSpec("LFPulseTrain", f0=f0, duration=1.0, sample_rate=sample_rate)
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"kind": "Sweep" * 200}, "unknown excitation kind"),
+        ({"f0": "120" * 200}, "f0 must be a real number"),
+        ({"duration": 10**400}, "duration must be positive"),
+        ({"lf_shape": (0.5,) * 1000}, "lf_shape must be"),
+        ({"f1": 10**400}, "sweep end f1="),
+        ({"f1": [1e4] * 1000}, "sweep end f1="),
+    ], ids=["kind", "f0", "duration", "lf_shape", "f1-int", "f1-list"])
+    def test_outside_value_is_quoted_briefly(self, fields, key):
+        spec = {"kind": "LogSweep", "f0": 120.0, "duration": 0.05, "sample_rate": 44100.0,
+                **fields}
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(key)}") as info:
+            ExcitationSpec(**spec)
+        assert len(str(info.value)) <= 200
 
     @pytest.mark.parametrize("name", ["sample_rate", "duration", "f0"])
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0,

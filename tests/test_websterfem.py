@@ -316,6 +316,15 @@ class TestAreaCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_area_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("text, key", [
+        ("x" * 5000 + "\n0,1e-4\n", "line 1: expected header"),
+        ("chi_m,area_m2\n0,1e-4\n0.1," + "9" * 5000 + "x\n", "line 3: expected two numbers")],
+        ids=["header", "field"])
+    def test_outside_line_is_quoted_briefly(self, text, key):
+        with pytest.raises(ParseError, match=f"^{key}") as info:
+            load_area_csv(io.StringIO(text))
+        assert len(str(info.value)) <= 200
+
     def test_monotonicity_error(self):
         text = "chi_m,area_m2\n0,1e-4\n0.2,1e-4\n0.1,1e-4\n"
         with pytest.raises(MonotonicityError):
